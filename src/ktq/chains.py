@@ -94,19 +94,6 @@ def _face_l_rewrite(t, i, x):
     return x[1:]
 
 
-def _face_l_coords(t, i, x):
-    # coordinates k = 1..n+1, computed right to left:
-    # x_k for k > i, else T(x_{k-1}, x_k, <coordinate k+1>)
-    n = len(x) - 2
-    out = [0] * (n + 1)
-    nxt = None
-    for k in range(n + 1, 0, -1):
-        c = x[k] if k > i else t(x[k - 1], x[k], nxt)
-        out[k - 1] = c
-        nxt = c
-    return tuple(out)
-
-
 def _face_r_scan(t, i, x):
     # keep x_0..x_i, then continue the z-recursion z_k = T(z_{k-1}, x_k, x_{k+1})
     n = len(x) - 2
@@ -118,40 +105,20 @@ def _face_r_scan(t, i, x):
     return tuple(out)
 
 
-def _face_r_coords(t, i, x):
-    # coordinates k = 0..n, computed left to right
-    def coord(k):
-        if k <= i:
-            return x[k]
-        return t(coord(k - 1), x[k], x[k + 1])
-
-    return tuple(coord(k) for k in range(len(x) - 1))
-
-
 def face_l(X, i, tup):
-    """The i-th left face of a degree-n tuple (degree drops by one).
-
-    Computed by both the tuple-rewriting recursion and the coordinate-wise
-    recursion; the two must agree.
-    """
-    t = _op(X)
+    """The i-th left face of a degree-n tuple (degree drops by one)."""
     n = len(tup) - 2
     if n < 0 or not 0 <= i <= n:
         raise IndexError("face index %d out of range for degree %d" % (i, n))
-    a = _face_l_rewrite(t, i, tup)
-    assert a == _face_l_coords(t, i, tup)
-    return a
+    return _face_l_rewrite(_op(X), i, tup)
 
 
 def face_r(X, i, tup):
     """The i-th right face of a degree-n tuple."""
-    t = _op(X)
     n = len(tup) - 2
     if n < 0 or not 0 <= i <= n:
         raise IndexError("face index %d out of range for degree %d" % (i, n))
-    a = _face_r_scan(t, i, tup)
-    assert a == _face_r_coords(t, i, tup)
-    return a
+    return _face_r_scan(_op(X), i, tup)
 
 
 def boundary_tuple(X, tup, kind="full"):

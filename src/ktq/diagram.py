@@ -252,7 +252,7 @@ def presentation(d):
 def associated_chain(d, X, col):
     """The degree-1 chain of a colored diagram: +(a,b,c) per positive or
     flat crossing, -(a,b,c) per negative one; markers contribute nothing.
-    The result is always a cycle (asserted)."""
+    MathError when that chain is not a cycle."""
     if not is_valid_coloring(d, X, col):
         raise MathError("the assignment is not a valid coloring")
     acc = {}
@@ -263,7 +263,8 @@ def associated_chain(d, X, col):
         tri = (col[c.corners[0]], col[c.corners[1]], col[c.corners[2]])
         acc[tri] = acc.get(tri, 0) + sign
     chain = Chain(1, acc)
-    assert not boundary(X, chain, "full"), "associated chain is not a cycle"
+    if boundary(X, chain, "full"):
+        raise MathError("the associated chain is not a cycle")
     return chain
 
 

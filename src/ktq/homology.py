@@ -1,21 +1,41 @@
 """Homology of the chain complexes attached to a finite KTQ or IKTQ.
 
-Chain groups are materialized in the lexicographic tuple basis; relator
-subgroups (degenerate tuples, involutory two-term sums, or both) enter
-either as subcomplexes or as quotients.  All arithmetic is exact.
+Chain groups have the lexicographic tuple basis.  Every variant is the
+homology of a free complex with sparse differentials d, read off their
+elementary divisors (``intlinalg.elementary_divisors``, unit pivots first):
+
+    H_n = Z^(dim C_n - rk d_n - rk d_{n+1}) + torsion of d_{n+1}.
+
+- plain: all tuples.
+- D (degenerate tuples): D is spanned by tuples, so the subcomplex keeps
+  the rows and columns of the degenerate tuples, and the quotient C/D those
+  of the nondegenerate ones.
+- I and ID (sums x + x[j]): the subcomplex R has the Hermite basis of the
+  relator lattice, with the differential in coordinates of that basis.  The
+  quotient C/R can have torsion in its chain groups, so it is replaced by
+  the mapping cone of R -> C, Cone_n = R_{n-1} + C_n with
+  d(r, c) = (-d r, r + d c): a free complex quasi-isomorphic to C/R
+  (Weibel, An introduction to homological algebra, 1.5).
+
+A differential that does not square to zero, or relators that do not span
+a subcomplex, raise MathError.  All arithmetic is exact.
 """
 
 from dataclasses import dataclass
-from .chains import Chain, all_tuples, boundary, boundary_tuple, relator_generators
-from .errors import FormatError, MathError
-from .intlinalg import (
-    AbelianGroup,
-    LatticeSolver,
-    cokernel,
-    column_hnf,
-    kernel_int,
-    lattice_basis,
+from .chains import (
+    Chain,
+    all_tuples,
+    boundary,
+    boundary_tuple,
+    is_d_degenerate,
+    relator_generators,
 )
+from .errors import FormatError, MathError
+from .intlinalg import AbelianGroup, LatticeSolver, elementary_divisors
+
+# Unused here, but looked up in this module by name: perfbench/tracing.py
+# wraps them where they are bound.
+from .intlinalg import cokernel, kernel_int, lattice_basis  # noqa: F401
 
 RELATOR_CHOICES = ("none", "D", "I", "ID")
 MODE_CHOICES = ("quotient", "subcomplex")
@@ -59,16 +79,24 @@ def chain_vector(c, index):
     return vec
 
 
+def boundary_columns(X, n, kind="full"):
+    """The degree-n differential as sparse columns {row: coeff}, one per
+    degree-n tuple, rows indexed by the degree n-1 basis."""
+    index = {t: i for i, t in enumerate(chain_basis(X.order, n - 1))}
+    return [
+        {index[t]: c for t, c in boundary_tuple(X, tup, kind).terms.items()}
+        for tup in chain_basis(X.order, n)
+    ]
+
+
 def boundary_matrix(X, n, kind="full"):
     """Matrix of the degree-n differential: rows indexed by the degree n-1
     basis, columns by the degree-n basis."""
-    rows = chain_basis(X.order, n - 1)
-    cols = chain_basis(X.order, n)
-    index = {t: i for i, t in enumerate(rows)}
-    M = [[0] * len(cols) for _ in rows]
-    for j, tup in enumerate(cols):
-        for t2, c in boundary_tuple(X, tup, kind).terms.items():
-            M[index[t2]][j] = c
+    cols = boundary_columns(X, n, kind)
+    M = [[0] * len(cols) for _ in range(X.order ** (n + 1))]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            M[i][j] = c
     return M
 
 
@@ -89,93 +117,119 @@ def _columns_to_matrix(cols, nrows):
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
-def _matrix_columns(M, ncols):
-    return [[row[j] for row in M] for j in range(ncols)]
+_LEAVES = "differential leaves the relator subcomplex"
 
 
-def _quotient_group(kernel_gens, image_cols, ambient_dim):
-    """ker/im for a sublattice pair: kernel_gens generate K, image_cols
-    generate M with M contained in K; returns K/M."""
-    if not kernel_gens:
-        for col in image_cols:
-            if any(col):
-                raise MathError("image does not lie in the kernel lattice")
-        return AbelianGroup(0)
-    G = _columns_to_matrix(kernel_gens, ambient_dim)
-    basis = lattice_basis(G, len(kernel_gens))
-    rank = len(basis)
-    solver = LatticeSolver(_columns_to_matrix(basis, ambient_dim), rank)
-    coeff_cols = []
-    for col in image_cols:
-        c = solver.solve(col)
-        if c is None:
-            raise MathError("image does not lie in the kernel lattice")
-        coeff_cols.append(c)
-    return cokernel(_columns_to_matrix(coeff_cols, rank), len(coeff_cols))
-
-
-def _homology_quotient(X, n, v):
-    kind = v.diff_kind
-    dim_n = X.order ** (n + 2)
-    dim_n1 = X.order ** (n + 3)
-    Dn = boundary_matrix(X, n, kind)
-    Dn1 = boundary_matrix(X, n + 1, kind)
-    Bn = relator_columns(X, n, v.relators)
-    Bn_1 = relator_columns(X, n - 1, v.relators)
-
-    # relative kernel: x with Dn*x in the span of the lower-degree relators
-    if Bn_1:
-        rows = len(Dn)
-        stacked = [Dn[i] + [col[i] for col in Bn_1] for i in range(rows)]
-        ker = kernel_int(stacked, dim_n + len(Bn_1))
-        kernel_gens = [vec[:dim_n] for vec in ker]
-    else:
-        kernel_gens = kernel_int(Dn, dim_n)
-
-    image_cols = _matrix_columns(Dn1, dim_n1) + Bn
-    return _quotient_group(kernel_gens, image_cols, dim_n)
-
-
-def _restricted_matrix(X, n, kind, basis_n, basis_n_1, dim_n_1):
-    """The differential restricted to the relator lattice, expressed in the
-    Hermite bases of consecutive degrees."""
-    Dn = boundary_matrix(X, n, kind)
-    if basis_n_1:
-        solver = LatticeSolver(_columns_to_matrix(basis_n_1, dim_n_1), len(basis_n_1))
-    else:
-        solver = None
-    cols = []
-    for p in basis_n:
-        w = [sum(Dn[i][j] * p[j] for j in range(len(p))) for i in range(len(Dn))]
-        if solver is None:
-            if any(w):
-                raise MathError("differential leaves the relator subcomplex")
-            cols.append([])
-        else:
-            c = solver.solve(w)
-            if c is None:
-                raise MathError("differential leaves the relator subcomplex")
-            cols.append(c)
-    return _columns_to_matrix(cols, len(basis_n_1))
-
-
-def _homology_subcomplex(X, n, v):
-    kind = v.diff_kind
-    dims = {m: X.order ** (m + 2) for m in (n - 1, n, n + 1)}
-    bases = {}
-    for m in (n - 1, n, n + 1):
-        cols = relator_columns(X, m, v.relators)
-        bases[m] = lattice_basis(_columns_to_matrix(cols, dims[m]), len(cols)) if cols else []
-    if not bases[n]:
-        return AbelianGroup(0)
-    An = _restricted_matrix(X, n, kind, bases[n], bases[n - 1], dims[n - 1])
-    An1 = _restricted_matrix(X, n + 1, kind, bases[n + 1], bases[n], dims[n])
-    kernel_gens = kernel_int(An, len(bases[n])) if bases[n - 1] else [
-        [1 if i == j else 0 for i in range(len(bases[n]))]
-        for j in range(len(bases[n]))
+def _tuple_differential(X, m, kind, part):
+    """d_m of the free complex of all tuples (part None), of the degenerate
+    subcomplex D (part True) or of the quotient C/D, whose basis is the
+    nondegenerate tuples (part False): (columns, number of rows)."""
+    cols = boundary_columns(X, m, kind)
+    if part is None:
+        return cols, X.order ** (m + 1)
+    here = [is_d_degenerate(X, t)[0] for t in chain_basis(X.order, m)]
+    below = [is_d_degenerate(X, t)[0] for t in chain_basis(X.order, m - 1)]
+    for col, degenerate in zip(cols, here):
+        if degenerate and not all(below[i] for i in col):
+            raise MathError(_LEAVES)
+    rows = {}
+    for i, degenerate in enumerate(below):
+        if degenerate == part:
+            rows[i] = len(rows)
+    kept = [
+        {rows[i]: c for i, c in col.items() if i in rows}
+        for col, degenerate in zip(cols, here)
+        if degenerate == part
     ]
-    image_cols = _matrix_columns(An1, len(bases[n + 1])) if bases[n + 1] else []
-    return _quotient_group(kernel_gens, image_cols, len(bases[n]))
+    return kept, len(rows)
+
+
+class _RelatorLattices:
+    """The subcomplex R spanned by a relator set (I or ID; any set works),
+    in the Hermite bases of its chain groups, and the mapping cone of
+    R -> C."""
+
+    def __init__(self, X, relators, kind):
+        self.X, self.relators, self.kind = X, relators, kind
+        self._boundary = {}
+        self._lattice = {}
+
+    def boundary(self, m):
+        if m not in self._boundary:
+            self._boundary[m] = boundary_columns(self.X, m, self.kind)
+        return self._boundary[m]
+
+    def lattice(self, m):
+        """A LatticeSolver over the degree-m relators, or None for R_m = 0."""
+        if m not in self._lattice:
+            cols = relator_columns(self.X, m, self.relators)
+            self._lattice[m] = (
+                LatticeSolver(_columns_to_matrix(cols, self.X.order ** (m + 2)), len(cols))
+                if cols else None
+            )
+        return self._lattice[m]
+
+    def rank(self, m):
+        lat = self.lattice(m)
+        return len(lat.basis) if lat else 0
+
+    def sub(self, m):
+        """d_m of R: the boundary of each Hermite basis vector of R_m, in
+        coordinates of the Hermite basis of R_{m-1}."""
+        lat, below = self.lattice(m), self.lattice(m - 1)
+        if lat is None:
+            return [], self.rank(m - 1)
+        d = self.boundary(m)
+        cols = []
+        for p in lat.basis:
+            w = [0] * self.X.order ** (m + 1)
+            for j, a in p.items():
+                for i, c in d[j].items():
+                    w[i] += a * c
+            if below is None:
+                if any(w):
+                    raise MathError(_LEAVES)
+                coords = []
+            else:
+                coords = below.coordinates(w)
+                if coords is None:
+                    raise MathError(_LEAVES)
+            cols.append({a: q for a, q in enumerate(coords) if q})
+        return cols, self.rank(m - 1)
+
+    def cone(self, m):
+        """d_m of the cone: R_{m-1} + C_m -> R_{m-2} + C_{m-1}."""
+        below, r = self.sub(m - 1)
+        lat = self.lattice(m - 1)
+        cols = []
+        for p, col in zip(lat.basis if lat else (), below):
+            c = {a: -q for a, q in col.items()}
+            for k, x in p.items():
+                c[r + k] = x
+            cols.append(c)
+        for col in self.boundary(m):
+            cols.append({r + i: c for i, c in col.items()})
+        return cols, r + self.X.order ** (m + 1)
+
+
+def _free_homology(differential, n):
+    """H_n of a free complex from its sparse differentials d_n, d_{n+1}."""
+    cols_n, rows_n = differential(n)
+    if not cols_n:
+        return AbelianGroup(0)
+    cols_n1, dim_n = differential(n + 1)
+    for col in cols_n1:
+        acc = {}
+        for i, a in col.items():
+            for k, b in cols_n[i].items():
+                acc[k] = acc.get(k, 0) + a * b
+        if any(acc.values()):
+            raise MathError("the differential does not square to zero in degree %d" % n)
+    rank_n = len(elementary_divisors(cols_n, rows_n))
+    divisors = elementary_divisors(cols_n1, dim_n)
+    return AbelianGroup(
+        dim_n - rank_n - len(divisors), tuple(d for d in divisors if d > 1)
+    )
 
 
 def homology(X, n, v=HomologyVariant(), degree_cap=None):
@@ -197,9 +251,12 @@ def homology(X, n, v=HomologyVariant(), degree_cap=None):
             "degree %d exceeds the materialization cap %d for order %d"
             % (n, cap, X.order)
         )
-    if v.relators == "none" or v.mode == "quotient":
-        return _homology_quotient(X, n, v)
-    return _homology_subcomplex(X, n, v)
+    kind = v.diff_kind
+    if v.relators in ("none", "D"):
+        part = None if v.relators == "none" else v.mode == "subcomplex"
+        return _free_homology(lambda m: _tuple_differential(X, m, kind, part), n)
+    lattices = _RelatorLattices(X, v.relators, kind)
+    return _free_homology(lattices.cone if v.mode == "quotient" else lattices.sub, n)
 
 
 class Cochain:
@@ -282,11 +339,11 @@ class HomologyClassChecker:
         self.v = v
         triples = chain_basis(X.order, 1)
         self.index = {t: i for i, t in enumerate(triples)}
-        D2 = boundary_matrix(X, 2, v.diff_kind)
-        cols = _matrix_columns(D2, X.order ** 4)
+        M = boundary_matrix(X, 2, v.diff_kind)
         if v.relators != "none":
-            cols += relator_columns(X, 1, v.relators)
-        self.solver = LatticeSolver(_columns_to_matrix(cols, len(triples)), len(cols))
+            rel = relator_columns(X, 1, v.relators)
+            M = [row + [col[i] for col in rel] for i, row in enumerate(M)]
+        self.solver = LatticeSolver(M, len(M[0]))
 
     def _check_cycle(self, c, name):
         if c.degree != 1:

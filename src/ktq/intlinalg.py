@@ -1,12 +1,15 @@
 """Exact integer matrix algorithms: Smith and Hermite normal forms,
-lattice membership and kernels (integral and modulo m).
+elementary divisors of sparse matrices, lattice membership and kernels
+(integral and modulo m).
 
-Matrices are plain lists of row lists of Python ints.  A matrix may have
-zero rows; pass ncols explicitly whenever the column count cannot be read
-off the data.
+Dense matrices are plain lists of row lists of Python ints.  A matrix may
+have zero rows; pass ncols explicitly whenever the column count cannot be
+read off the data.  Sparse matrices are lists of columns, each a dict
+{row: nonzero coefficient}.
 """
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Tuple
 
@@ -239,37 +242,65 @@ def lattice_basis(M, ncols=None):
 
 
 class LatticeSolver:
-    """Reusable exact solver for M*c = v against a fixed column lattice."""
+    """Reusable exact solver for M*c = v against a fixed column lattice.
+
+    The Hermite form is computed once.  Membership and coordinates over the
+    Hermite basis need only its forward residue pass; the unimodular
+    transform back to coefficients of the columns of M is computed on the
+    first solve() that finds a solution.
+    """
 
     def __init__(self, M, ncols=None):
         self.nrows, self.ncols = _shape(M, ncols)
-        self.H, self.W, self.pivots = column_hnf(M, ncols, transform=True)
+        self._columns = [
+            {i: M[i][j] for i in range(self.nrows) if M[i][j]} for j in range(self.ncols)
+        ]
+        H, _, self.pivots = column_hnf(M, ncols)
+        #: the Hermite basis of the lattice as sparse columns, one per pivot
+        self.basis = [
+            {k: H[k][c] for k in range(i, self.nrows) if H[k][c]} for i, c in self.pivots
+        ]
+        self._W = None
 
-    def solve(self, v):
-        """An integer coefficient vector c with M*c = v, or None."""
+    def coordinates(self, v):
+        """Integer coefficients of v over the Hermite basis, or None when v
+        is not in the lattice."""
         if len(v) != self.nrows:
             raise ValueError("dimension mismatch")
         res = list(v)
-        y = [0] * self.ncols
-        for i, c in self.pivots:
-            p = self.H[i][c]
+        y = []
+        for (i, _), col in zip(self.pivots, self.basis):
+            p = col[i]
             if res[i] % p:
                 return None
             q = res[i] // p
-            y[c] = q
+            y.append(q)
             if q:
-                col = self.H
-                for k in range(i, self.nrows):
-                    res[k] -= q * col[k][c]
+                for k, h in col.items():
+                    res[k] -= q * h
         if any(res):
             return None
+        return y
+
+    def solve(self, v):
+        """An integer coefficient vector c with M*c = v, or None."""
+        y = self.coordinates(v)
+        if y is None:
+            return None
+        if self._W is None:
+            M = [[0] * self.ncols for _ in range(self.nrows)]
+            for j, col in enumerate(self._columns):
+                for i, a in col.items():
+                    M[i][j] = a
+            _, self._W, _ = column_hnf(M, self.ncols, transform=True)
+        W = self._W
         return [
-            sum(self.W[row][j] * y[j] for j in range(self.ncols))
+            sum(W[row][c] * q for (_, c), q in zip(self.pivots, y))
             for row in range(self.ncols)
         ]
 
     def contains(self, v):
-        return self.solve(v) is not None
+        return self.coordinates(v) is not None
 
 
 def lattice_membership(v, M, ncols=None):
@@ -315,3 +346,71 @@ def cokernel(M, ncols=None):
     nonzero = [d for d in diag if d]
     torsion = tuple(d for d in nonzero if d >= 2)
     return AbelianGroup(rows - len(nonzero), torsion)
+
+
+def elementary_divisors(columns, nrows):
+    """The nonzero invariant factors d1 | d2 | ... of a sparse integer
+    matrix with nrows rows, given as a list of columns {row: coeff}.
+
+    Entries +-1 are eliminated first, each contributing the factor 1: at
+    every step a unit is taken from the shortest column, in its shortest
+    row, to keep the fill low (Dumas, Heckenbach, Saunders and Welker,
+    2003).  Only the block left without unit entries goes to the dense
+    Smith form.
+    """
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    rows = [dict() for _ in range(nrows)]
+    for j, col in cols.items():
+        for i, a in col.items():
+            rows[i][j] = a
+    units = 0
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapify(heap)
+    while heap:
+        size, j = heappop(heap)
+        col = cols.get(j)
+        if col is None or len(col) != size:
+            continue  # eliminated, or queued again with its new size
+        p = None
+        for i, a in col.items():
+            if (a == 1 or a == -1) and (p is None or len(rows[i]) < len(rows[p])):
+                p = i
+        if p is None:
+            continue  # requeued if a later elimination changes it
+        u = col.pop(p)
+        del cols[j]
+        prow = rows[p]
+        rows[p] = {}
+        del prow[j]
+        for i, a in col.items():
+            # row i -= (a / u) * row p; a / u == a * u for a unit u
+            f = a * u
+            row = rows[i]
+            del row[j]
+            for k, b in prow.items():
+                x = row.get(k, 0) - f * b
+                if x:
+                    row[k] = x
+                    cols[k][i] = x
+                else:
+                    del row[k]
+                    del cols[k][i]
+        for k in prow:
+            # the column operations that clear the rest of row p touch no
+            # other row, since column j is now zero off the pivot
+            ck = cols[k]
+            del ck[p]
+            if ck:
+                heappush(heap, (len(ck), k))
+            else:
+                del cols[k]
+        units += 1
+    live = sorted({i for col in cols.values() for i in col})
+    if not live:
+        return [1] * units
+    where = {i: r for r, i in enumerate(live)}
+    M = [[0] * len(cols) for _ in live]
+    for c, col in enumerate(cols.values()):
+        for i, a in col.items():
+            M[where[i]][c] = a
+    return [1] * units + [d for d in snf_diagonal(M, len(cols)) if d]

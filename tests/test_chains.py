@@ -59,6 +59,40 @@ def test_face_maps_low_degree(z3linear):
         assert face_r(z3linear, 1, x) == (a, b)
 
 
+def face_l_coords(t, i, x):
+    # coordinates k = 1..n+1, computed right to left:
+    # x_k for k > i, else T(x_{k-1}, x_k, <coordinate k+1>)
+    n = len(x) - 2
+    out = [0] * (n + 1)
+    nxt = None
+    for k in range(n + 1, 0, -1):
+        c = x[k] if k > i else t(x[k - 1], x[k], nxt)
+        out[k - 1] = c
+        nxt = c
+    return tuple(out)
+
+
+def face_r_coords(t, i, x):
+    # coordinates k = 0..n, computed left to right
+    def coord(k):
+        if k <= i:
+            return x[k]
+        return t(coord(k - 1), x[k], x[k + 1])
+
+    return tuple(coord(k) for k in range(len(x) - 1))
+
+
+def test_face_maps_match_coordinate_recursions(samples):
+    # the face maps rewrite tuples; the oracle builds each coordinate
+    for X in samples:
+        for Y in (X, classify(hat(X.t))):
+            for n in (0, 1, 2, 3):
+                for tup in all_tuples(Y.order, n):
+                    for i in range(n + 1):
+                        assert face_l(Y, i, tup) == face_l_coords(Y.t, i, tup)
+                        assert face_r(Y, i, tup) == face_r_coords(Y.t, i, tup)
+
+
 def test_boundary_squares_to_zero(z3linear, z2sum, z5affine):
     for X in (z3linear, z2sum, z5affine):
         for kind in ("L", "R", "full"):

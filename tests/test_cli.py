@@ -146,3 +146,8 @@ def test_output_is_byte_stable():
             fixture_path("kink.dg"), fixture_path("unknot0.dg"),
             "--correspondence", fixture_path("kink_unknot.corr"), "--mod", "3")
     assert a == b and a[0] == 0
+
+
+def test_homology_of_a_non_ktq_exits_3(capsys):
+    code, out = run("homology", fixture_path("z3sum.ktq"), "--degree", "1")
+    assert code == 3 and out == ""

@@ -143,6 +143,15 @@ def test_associated_chain_rejects_invalid_coloring(z3linear):
         associated_chain(load_diagram("trefoil.dg"), z3linear, (0, 1, 2))
 
 
+def test_associated_chain_rejects_non_cycles(z3linear):
+    # a lone crossing does not close up: its chain (0, 0, 1) has a boundary
+    d = parse_diagram("diagram 4\nP 0 1 2 3\n")
+    col = (0, 0, 1, z3linear.t(0, 0, 1))
+    assert is_valid_coloring(d, z3linear, col)
+    with pytest.raises(MathError):
+        associated_chain(d, z3linear, col)
+
+
 def test_associated_chain_signs(z3linear):
     d = load_diagram("r2par_after.dg")  # one P and one N with equal corners
     for col in colorings(d, z3linear):

@@ -142,3 +142,15 @@ def test_quotient_subcomplex_ranks_are_consistent(z3linear):
     cols = relator_columns(z3linear, 1, "D")
     M = [[col[i] for col in cols] for i in range(27)]
     assert lattice_rank(M, len(cols)) == 9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("v", [
+    NAMED_VARIANTS["plain"],
+    NAMED_VARIANTS["N"],
+    HomologyVariant("D", "subcomplex", "full"),
+])
+def test_non_ktq_homology_is_refused(z3sum, n, v):
+    # z3sum is a quasigroup without A3: its differential does not square to zero
+    with pytest.raises(MathError):
+        homology(z3sum, n, v)

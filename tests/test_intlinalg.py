@@ -7,6 +7,7 @@ from ktq.intlinalg import (
     LatticeSolver,
     cokernel,
     column_hnf,
+    elementary_divisors,
     kernel_int,
     kernel_mod,
     lattice_basis,
@@ -130,6 +131,43 @@ def test_lattice_solver_solves():
     assert [2 * c[0] + c[1], 3 * c[1]] == [4, 6]
     assert s.solve([1, 0]) is None
     assert s.contains([0, 0])
+
+
+def test_lattice_solver_coordinates_and_lazy_transform():
+    M = [[2, 1, 3], [0, 3, 3]]
+    s = LatticeSolver(M, 3)
+    # membership and coordinates never need the transform
+    assert s.contains([4, 6]) and not s.contains([1, 0])
+    y = s.coordinates([4, 6])
+    assert [sum(q * col.get(k, 0) for q, col in zip(y, s.basis)) for k in range(2)] == [4, 6]
+    assert s._W is None
+    c = s.solve([4, 6])
+    assert s._W is not None
+    assert [sum(M[i][j] * c[j] for j in range(3)) for i in range(2)] == [4, 6]
+
+
+def sparse_columns(M, ncols):
+    return [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(ncols)]
+
+
+def test_elementary_divisors_match_dense_snf():
+    rng = random.Random(11)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.random()
+        M = [
+            [rng.choice((-2, -1, 1, 2, 3)) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        expect = [d for d in snf_diagonal(M, cols) if d]
+        assert elementary_divisors(sparse_columns(M, cols), rows) == expect, M
+
+
+def test_elementary_divisors_of_non_unit_blocks():
+    # no unit entry at all: everything goes to the dense Smith form
+    assert elementary_divisors(sparse_columns([[2, 4], [6, 8]], 2), 2) == [2, 4]
+    assert elementary_divisors([{0: 2}, {}], 3) == [2]
+    assert elementary_divisors([], 0) == []
 
 
 def test_kernel_int():
