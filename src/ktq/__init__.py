@@ -55,7 +55,6 @@ from .intlinalg import (
     cokernel,
     kernel_int,
     kernel_mod,
-    lattice_membership,
     smith_normal_form,
 )
 from .invariants import GroupRingElement, invariant_report, state_sum

@@ -2,8 +2,11 @@
 
 Corner roles are data, not geometry: a classical or flat crossing line
 names four regions (a, b, c, d) and imposes the single relation
-d = T(a, b, c); a marker names (p, q, p', q') and forces equal colors on
-the two opposite pairs.  Encoders of new diagrams must pick roles matching
+d = T(a, b, c); a marker names (p, q, p', q') and identifies the regions
+of the two opposite pairs, which must therefore share colors.  The
+coloring search merges those regions into classes and backtracks
+iteratively, with an explicit stack, so diagram depth is not bounded by
+the recursion limit.  Encoders of new diagrams must pick roles matching
 the usual pictorial conventions; the shipped fixtures document theirs.
 """
 
@@ -92,9 +95,6 @@ def parse_diagram(text):
         crossings.append(Crossing(parts[0], corners))
     if num_regions is None:
         raise FormatError("empty diagram file")
-    kinds = {c.kind for c in crossings}
-    if "F" in kinds and ("P" in kinds or "N" in kinds):
-        raise FormatError("flat and classical crossings cannot be mixed")
     return Diagram(num_regions, tuple(crossings))
 
 
@@ -130,90 +130,80 @@ def is_valid_coloring(d, X, col):
 def colorings(d, X):
     """All valid colorings, as assignment tuples in lexicographic order.
 
-    Backtracks over regions in index order; whenever a crossing has a single
-    unknown region (appearing in a single corner) the missing color is
-    forced through T or the matching division table.
+    Markers only identify regions, so they are folded first into classes
+    of regions that share a color.  The search then backtracks, with an
+    explicit stack, over the class of the first uncolored region, trying
+    colors in increasing order.  Coloring a class re-examines the crossings
+    on its watch list: a crossing whose only uncolored class fills a single
+    corner has that color forced through T or the matching division table,
+    and a fully colored crossing must satisfy T.
     """
     _check_algebra(d, X)
-    n = d.num_regions
-    order = X.order
-    assign = [None] * n
+    n, order = d.num_regions, X.order
+    root = list(range(n))
+
+    def find(r):
+        while root[r] != r:
+            root[r] = root[root[r]]
+            r = root[r]
+        return r
+
+    for cr in d.crossings:
+        if cr.kind == "M":
+            p, q, p2, q2 = cr.corners
+            root[find(p)] = find(p2)
+            root[find(q)] = find(q2)
+    cls = [find(r) for r in range(n)]
+    watch = [[] for _ in range(n)]
+    for cr in d.crossings:
+        if cr.kind != "M":
+            corners = tuple(cls[r] for r in cr.corners)
+            for k in set(corners):
+                watch[k].append(corners)
+    t = X.t
+    solve = (X.l, X.m, X.r, t)  # the missing corner 0, 1, 2 or 3
+    color = [None] * n  # per class representative
+    trail = []  # colored classes, in order; the tail is the propagation queue
+
+    def propagate(j):
+        """Propagate from the classes trail[j:]; False on contradiction."""
+        while j < len(trail):
+            for corners in watch[trail[j]]:
+                vals = [color[k] for k in corners]
+                missing = vals.count(None)
+                if missing == 0:
+                    if t(vals[0], vals[1], vals[2]) != vals[3]:
+                        return False
+                elif missing == 1:
+                    s = vals.index(None)
+                    vals[s] = vals[3]  # L(d,b,c), M(a,d,c), R(a,b,d) or T(a,b,c)
+                    color[corners[s]] = solve[s](vals[0], vals[1], vals[2])
+                    trail.append(corners[s])
+            j += 1
+        return True
+
     out = []
-
-    def deduce():
-        """Propagate forced values; returns the trail of regions set here,
-        or None on contradiction (with the trail already undone)."""
-        trail = []
-        changed = True
-        while changed:
-            changed = False
-            for cr in d.crossings:
-                if cr.kind == "M":
-                    for u, w in ((0, 2), (1, 3)):
-                        ru, rw = cr.corners[u], cr.corners[w]
-                        vu, vw = assign[ru], assign[rw]
-                        if vu is None and vw is not None:
-                            assign[ru] = vw
-                            trail.append(ru)
-                            changed = True
-                        elif vw is None and vu is not None:
-                            assign[rw] = vu
-                            trail.append(rw)
-                            changed = True
-                        elif vu is not None and vu != vw:
-                            for r in trail:
-                                assign[r] = None
-                            return None
-                    continue
-                corners = cr.corners
-                vals = [assign[r] for r in corners]
-                unknown = {corners[p] for p in range(4) if vals[p] is None}
-                if not unknown:
-                    if X.t(vals[0], vals[1], vals[2]) != vals[3]:
-                        for r in trail:
-                            assign[r] = None
-                        return None
-                    continue
-                if len(unknown) != 1:
-                    continue
-                region = next(iter(unknown))
-                slots = [p for p in range(4) if corners[p] == region]
-                if len(slots) != 1:
-                    continue  # repeated unknown corner: leave to backtracking
-                s = slots[0]
-                a, b, c, dd = vals
-                if s == 3:
-                    v = X.t(a, b, c)
-                elif s == 0:
-                    v = X.l(dd, b, c)
-                elif s == 1:
-                    v = X.m(a, dd, c)
-                else:
-                    v = X.r(a, b, dd)
-                assign[region] = v
-                trail.append(region)
-                changed = True
-        return trail
-
-    def rec():
-        region = None
-        for i in range(n):
-            if assign[i] is None:
-                region = i
-                break
-        if region is None:
-            out.append(tuple(assign))
-            return
-        for v in range(order):
-            assign[region] = v
-            trail = deduce()
-            if trail is not None:
-                rec()
-                for r in trail:
-                    assign[r] = None
-        assign[region] = None
-
-    rec()
+    stack = [[0, 0, 0]]  # first uncolored region, next color, trail length
+    while stack:
+        frame = stack[-1]
+        i, v, mark = frame
+        for k in trail[mark:]:
+            color[k] = None
+        del trail[mark:]
+        if v == order:
+            stack.pop()
+            continue
+        frame[1] = v + 1
+        color[cls[i]] = v
+        trail.append(cls[i])
+        if not propagate(mark):
+            continue
+        while i < n and color[cls[i]] is not None:
+            i += 1
+        if i == n:
+            out.append(tuple(color[k] for k in cls))
+        else:
+            stack.append([i, 0, len(trail)])
     return out
 
 
@@ -291,11 +281,13 @@ def parse_correspondence(text):
 
 def matched_colorings(d1, d2, X, pairs):
     """Pairs of colorings of the two diagrams that agree on the mapped
-    regions."""
-    c2s = colorings(d2, X)
-    out = []
-    for c1 in colorings(d1, X):
-        for c2 in c2s:
-            if all(c1[i] == c2[j] for i, j in pairs):
-                out.append((c1, c2))
-    return out
+    regions, in the order of the first diagram's colorings, then the
+    second's."""
+    by_key = {}
+    for c2 in colorings(d2, X):
+        by_key.setdefault(tuple(c2[j] for _, j in pairs), []).append(c2)
+    return [
+        (c1, c2)
+        for c1 in colorings(d1, X)
+        for c2 in by_key.get(tuple(c1[i] for i, _ in pairs), ())
+    ]

@@ -212,6 +212,14 @@ class _RelatorLattices:
         return cols, r + self.X.order ** (m + 1)
 
 
+def _check_variant(X, v):
+    """Refuse a relator set the algebra cannot carry."""
+    if v.relators in ("I", "ID") and not X.is_iktq:
+        raise MathError("variant %s requires an involutory KTQ" % v.relators)
+    if v.relators != "none" and not X.is_quasigroup:
+        raise MathError("relator subgroups require a quasigroup")
+
+
 def _free_homology(differential, n):
     """H_n of a free complex from its sparse differentials d_n, d_{n+1}."""
     cols_n, rows_n = differential(n)
@@ -241,10 +249,7 @@ def homology(X, n, v=HomologyVariant(), degree_cap=None):
     """
     if n < -1:
         raise MathError("homology is computed for degrees >= -1")
-    if v.relators in ("I", "ID") and not X.is_iktq:
-        raise MathError("variant %s requires an involutory KTQ" % v.relators)
-    if not X.is_quasigroup and v.relators != "none":
-        raise MathError("relator subgroups require a quasigroup")
+    _check_variant(X, v)
     cap = degree_cap if degree_cap is not None else default_degree_cap(X.order)
     if n + 1 > cap:
         raise MathError(
@@ -305,8 +310,7 @@ def two_cocycles(X, modulus, v):
     """
     if v.mode != "quotient" or v.diff_kind != "full":
         raise MathError("cocycles are defined for the quotient/full variants")
-    if v.relators in ("I", "ID") and not X.is_iktq:
-        raise MathError("variant %s requires an involutory KTQ" % v.relators)
+    _check_variant(X, v)
     triples = chain_basis(X.order, 1)
     index = {t: i for i, t in enumerate(triples)}
     from .intlinalg import kernel_mod
@@ -331,10 +335,13 @@ class HomologyClassChecker:
 
     Two cycles are equal in the variant iff their difference lies in the
     integer span of all degree-2 differentials together with the degree-1
-    relator generators.
+    relator generators, so only quotient variants are decided.
     """
 
     def __init__(self, X, v=HomologyVariant("D", "quotient", "full")):
+        if v.mode != "quotient":
+            raise MathError("homology classes are compared in quotient mode only")
+        _check_variant(X, v)
         self.X = X
         self.v = v
         triples = chain_basis(X.order, 1)

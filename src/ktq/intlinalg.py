@@ -229,11 +229,6 @@ def column_hnf(M, ncols=None, transform=False):
     return H, W, pivots
 
 
-def lattice_rank(M, ncols=None):
-    _, _, pivots = column_hnf(M, ncols)
-    return len(pivots)
-
-
 def lattice_basis(M, ncols=None):
     """A canonical basis (list of column vectors) of the column lattice."""
     H, _, pivots = column_hnf(M, ncols)
@@ -301,11 +296,6 @@ class LatticeSolver:
 
     def contains(self, v):
         return self.coordinates(v) is not None
-
-
-def lattice_membership(v, M, ncols=None):
-    """One-shot membership: coefficients c with M*c = v, or None."""
-    return LatticeSolver(M, ncols).solve(v)
 
 
 def kernel_int(M, ncols=None):

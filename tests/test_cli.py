@@ -57,6 +57,16 @@ def test_color_command():
     assert lines[1:] == ["0 0 0", "1 1 1", "2 2 2"]
 
 
+def test_color_command_on_a_deep_diagram(tmp_path):
+    # 1,500 regions chained by crossings P i i i+1 i+1: the search branches
+    # once per region, far past the interpreter's recursion limit
+    dg = tmp_path / "deep.dg"
+    dg.write_text("diagram 1500\n" + "".join(
+        "P %d %d %d %d\n" % (i, i, i + 1, i + 1) for i in range(1499)
+    ))
+    assert run("color", fixture_path("order1.ktq"), str(dg)) == (0, "colorings 1\n")
+
+
 def test_cocycles_command():
     code, out = run(
         "cocycles", fixture_path("z3linear.ktq"), "--mod", "3", "--relators", "ID"

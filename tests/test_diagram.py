@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ktq import FormatError, MathError
 from ktq.chains import boundary
@@ -81,6 +82,25 @@ def test_solver_matches_brute_force_on_all_fixtures(z3linear, z5affine):
             got = colorings(d, X)
             assert got == brute_force_colorings(d, X), (name, X.order)
             assert got == sorted(got)  # lexicographic order
+
+
+@st.composite
+def small_diagrams(draw):
+    """At most 6 regions and 5 crossings: P/N or F crossings with M markers,
+    corners drawn independently, so repeated corners occur."""
+    n = draw(st.integers(1, 6))
+    kinds = ("F", "M") if draw(st.booleans()) else ("P", "N", "M")
+    corners = st.tuples(*[st.integers(0, n - 1)] * 4)
+    crossings = draw(st.lists(st.builds(Crossing, st.sampled_from(kinds), corners), max_size=5))
+    return Diagram(n, tuple(crossings))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(d=small_diagrams())
+def test_solver_matches_brute_force_on_small_diagrams(d, order1, z2sum, z3linear, z5affine):
+    algebras = [order1, z2sum, z3linear] + ([] if d.is_flat else [z5affine])
+    for X in algebras:
+        assert colorings(d, X) == brute_force_colorings(d, X), (d, X.order)
 
 
 def test_specific_coloring_counts(z3linear, z5affine):
@@ -167,5 +187,9 @@ def test_correspondence_parsing_and_matching(z3linear):
     d2 = load_diagram("r3_before.dg")
     matched = matched_colorings(d1, d2, z3linear, pairs)
     assert len(matched) == 27
-    for c1, c2 in matched:
-        assert all(c1[i] == c2[j] for i, j in pairs)
+    assert matched == [
+        (c1, c2)
+        for c1 in colorings(d1, z3linear)
+        for c2 in colorings(d2, z3linear)
+        if all(c1[i] == c2[j] for i, j in pairs)
+    ]

@@ -105,6 +105,24 @@ def test_two_cocycles_preconditions(z5affine):
         two_cocycles(z5affine, 5, HomologyVariant("D", "subcomplex", "full"))
 
 
+def test_class_checker_preconditions(z3linear, z5affine):
+    # subcomplex classes are not decided by the quotient lattice
+    with pytest.raises(MathError):
+        HomologyClassChecker(z3linear, HomologyVariant("D", "subcomplex", "full"))
+    with pytest.raises(MathError):
+        HomologyClassChecker(z5affine, NAMED_VARIANTS["NI"])  # not involutory
+
+
+def test_relators_require_a_quasigroup():
+    from ktq.algebra import affine_table, classify
+
+    bad = classify(affine_table(4, 1, 2, 1))
+    with pytest.raises(MathError):
+        two_cocycles(bad, 2, NAMED_VARIANTS["N"])
+    with pytest.raises(MathError):
+        HomologyClassChecker(bad, NAMED_VARIANTS["N"])
+
+
 def test_class_checker_boundary_is_null(z3linear):
     checker = HomologyClassChecker(z3linear, NAMED_VARIANTS["plain"])
     zero = Chain(1)
@@ -136,12 +154,12 @@ def test_cocycle_parse_serialize_roundtrip():
 
 def test_quotient_subcomplex_ranks_are_consistent(z3linear):
     # dim C_1 = dim C^D_1 + dim (C_1 / C^D_1) as free abelian groups
-    from ktq.intlinalg import lattice_rank
+    from ktq.intlinalg import lattice_basis
     from ktq.homology import relator_columns
 
     cols = relator_columns(z3linear, 1, "D")
     M = [[col[i] for col in cols] for i in range(27)]
-    assert lattice_rank(M, len(cols)) == 9
+    assert len(lattice_basis(M, len(cols))) == 9
 
 
 @pytest.mark.parametrize("n", [1, 2])
