@@ -282,7 +282,14 @@ def parse_correspondence(text):
 def matched_colorings(d1, d2, X, pairs):
     """Pairs of colorings of the two diagrams that agree on the mapped
     regions, in the order of the first diagram's colorings, then the
-    second's."""
+    second's.  A pair naming a region outside either diagram raises
+    FormatError."""
+    for i, j in pairs:
+        if not (0 <= i < d1.num_regions and 0 <= j < d2.num_regions):
+            raise FormatError(
+                "correspondence pair %d %d out of range (%d and %d regions)"
+                % (i, j, d1.num_regions, d2.num_regions)
+            )
     by_key = {}
     for c2 in colorings(d2, X):
         by_key.setdefault(tuple(c2[j] for _, j in pairs), []).append(c2)

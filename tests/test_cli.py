@@ -161,3 +161,18 @@ def test_output_is_byte_stable():
 def test_homology_of_a_non_ktq_exits_3(capsys):
     code, out = run("homology", fixture_path("z3sum.ktq"), "--degree", "1")
     assert code == 3 and out == ""
+
+
+def test_correspondence_out_of_range_exits_2(tmp_path, capsys):
+    corr = tmp_path / "bad.corr"
+    for line in ("1 9", "5 0", "0 5", "-1 0"):  # both diagrams have 5 regions
+        corr.write_text("correspondence\n%s\n" % line)
+        code, out = run(
+            "compare",
+            fixture_path("z3linear.ktq"),
+            fixture_path("r3_after.dg"),
+            fixture_path("r3_before.dg"),
+            "--correspondence", str(corr),
+        )
+        assert (code, out) == (2, "")
+        assert "pair %s" % line in capsys.readouterr().err

@@ -1,0 +1,128 @@
+"""The forward-checked enumeration against the brute-force oracle in
+tests/enumeration_oracle.py, the order-4 results frozen, and the
+axiom evaluator and canonical form against literal definitions."""
+
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import enumeration_oracle as oracle
+from ktq.algebra import OpTable, affine_table, canonical_form, check_a3, enumerate_ktqs
+from ktq.cli import cli_main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+FILTERS = ("all_quasigroups", "ktq", "iktq")
+
+
+@lru_cache(maxsize=None)
+def order4(filt, dedup):
+    return [t.values for t in enumerate_ktqs(4, filt, dedup)]
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    code = cli_main(list(argv), out)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("filt", FILTERS)
+@pytest.mark.parametrize("dedup", [False, True])
+def test_enumeration_matches_the_brute_force_oracle(n, filt, dedup):
+    got = [t.values for t in enumerate_ktqs(n, filt, dedup)]
+    assert got == [t.values for t in oracle.enumerate_ktqs(n, filt, dedup)]
+
+
+@pytest.mark.parametrize("filt, dedup, count", [
+    ("all_quasigroups", True, 2589),
+    ("ktq", True, 37),
+    ("ktq", False, 168),
+    ("iktq", True, 16),
+    ("iktq", False, 72),
+])
+def test_order4_counts(filt, dedup, count):
+    tables = order4(filt, dedup)
+    assert len(tables) == count
+    assert tables == sorted(set(tables))
+
+
+# the sha256 of the output of the benchmark's enumerate jobs
+@pytest.mark.parametrize("filt, digest", [
+    ("ktq", "46cca30bfb828147593d68dcf4cf350d839dafcd1f9f3b01a7739fc8eeae7f40"),
+    ("iktq", "c4b4bd486d5390b011197d4d68c12205695814739f950c2cb8a3ccc0d5cad797"),
+])
+def test_order4_dedup_output_digest(filt, digest):
+    code, out = run_cli("enumerate", "--order", "4", "--filter", filt, "--dedup")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_order4_contains_exactly_the_affine_ktqs_over_z4():
+    # T = ax + by + cz over Z4 satisfies A3L iff b = -ac, by comparing the
+    # coefficients of the two sides; it is involutory iff moreover b = -1
+    units = [(a, b, c) for a, b, c in product((1, 3), repeat=3)]
+    ktq = [u for u in units if (u[1] + u[0] * u[2]) % 4 == 0]
+    iktq = [u for u in ktq if u[1] == 3]
+    assert ktq == [(1, 1, 3), (1, 3, 1), (3, 1, 1), (3, 3, 3)]
+    assert iktq == [(1, 3, 1), (3, 3, 3)]
+    for u in units:
+        values = affine_table(4, *u).values
+        assert (values in order4("ktq", False)) == (u in ktq), u
+        assert (values in order4("iktq", False)) == (u in iktq), u
+
+
+LATIN = list(oracle.latin_tables(3)) + [
+    affine_table(4, a, b, c) for a, b, c in product((1, 3), repeat=3)
+]
+
+
+@st.composite
+def tables(draw):
+    """Tables of order at most 4: arbitrary ones (almost never Latin), and
+    relabelings of Latin tables (the order-3 ones and the unit affine
+    tables of order 4)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        return OpTable(n, draw(st.lists(st.integers(0, n - 1), min_size=n ** 3, max_size=n ** 3)))
+    t = draw(st.sampled_from(LATIN))
+    perm = draw(st.permutations(range(t.order)))
+    inv = [perm.index(x) for x in range(t.order)]
+    return OpTable.from_function(t.order, lambda x, y, z: perm[t(inv[x], inv[y], inv[z])])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(t=tables())
+def test_canonical_form_is_the_least_relabeling(t):
+    assert canonical_form(t) == oracle.canonical_form(t)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(t=tables())
+def test_check_a3_matches_the_literal_equations(t):
+    rep = check_a3(t)
+    assert (rep.a3l, rep.a3r, rep.a3l_witness, rep.a3r_witness) == oracle.check_a3(t)
+
+
+def test_traced_benchmark_job_matches_the_untraced_run(tmp_path):
+    # the benchmark's tracer patches ktq names and fails when one is missing
+    argv = ["enumerate", "--order", "3", "--filter", "ktq", "--dedup"]
+    report = tmp_path / "report.json"
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "job.py"), str(report), "1", "--"] + argv,
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(*argv)[1]
+    trace = json.loads(report.read_text())["trace"]
+    assert "algebra.enumerate" in trace["total"]
+    assert "algebra.canonical_form" in trace["total"]
