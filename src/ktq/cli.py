@@ -2,7 +2,9 @@
 statesum, compare.
 
 Exit codes: 0 success, 1 usage error, 2 input format error, 3 mathematical
-precondition failure.  Diagnostics go to stderr, results to stdout.
+precondition failure, 4 internal error (any other exception; a bug, reported
+in one line without a traceback).  Diagnostics go to stderr, results to
+stdout.
 """
 
 import argparse
@@ -214,6 +216,9 @@ def cli_main(argv=None, out=None):
     except MathError as exc:
         print("precondition error: %s" % exc, file=sys.stderr)
         return 3
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
 
 def main():

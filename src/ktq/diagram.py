@@ -279,11 +279,11 @@ def parse_correspondence(text):
     return pairs
 
 
-def matched_colorings(d1, d2, X, pairs):
-    """Pairs of colorings of the two diagrams that agree on the mapped
-    regions, in the order of the first diagram's colorings, then the
-    second's.  A pair naming a region outside either diagram raises
-    FormatError."""
+def join_colorings(d1, d2, cols1, cols2, pairs):
+    """The pairs of the given colorings of d1 and d2 that agree on the
+    mapped regions, in the order of cols1, then cols2: a hash join on the
+    colors of those regions.  A pair naming a region outside either
+    diagram raises FormatError."""
     for i, j in pairs:
         if not (0 <= i < d1.num_regions and 0 <= j < d2.num_regions):
             raise FormatError(
@@ -291,10 +291,17 @@ def matched_colorings(d1, d2, X, pairs):
                 % (i, j, d1.num_regions, d2.num_regions)
             )
     by_key = {}
-    for c2 in colorings(d2, X):
+    for c2 in cols2:
         by_key.setdefault(tuple(c2[j] for _, j in pairs), []).append(c2)
     return [
         (c1, c2)
-        for c1 in colorings(d1, X)
+        for c1 in cols1
         for c2 in by_key.get(tuple(c1[i] for i, _ in pairs), ())
     ]
+
+
+def matched_colorings(d1, d2, X, pairs):
+    """Pairs of colorings of the two diagrams that agree on the mapped
+    regions, in the order of the first diagram's colorings, then the
+    second's (see join_colorings)."""
+    return join_colorings(d1, d2, colorings(d1, X), colorings(d2, X), pairs)

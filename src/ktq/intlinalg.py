@@ -308,24 +308,39 @@ def kernel_int(M, ncols=None):
 
 def kernel_mod(M, modulus, ncols=None):
     """A generating set of {x : M*x = 0 mod modulus}, vectors reduced mod
-    modulus, computed through the integer Smith form (correct for composite
-    moduli)."""
+    modulus, correct for composite moduli.
+
+    The equations are reduced by sparse elimination of +-1 pivots first
+    (as in elementary_divisors).  A unit is invertible mod every m, so
+    each pivot row expresses one variable through the others.  Only the
+    residual block goes to the integer Smith form U*R*V = D, whose columns
+    give the generators (m / gcd(d_j, m)) * V e_j of its kernel; the
+    eliminated variables are then filled in by back-substitution in
+    reverse order.  For prime m there are n - rank_m(M) generators.
+    """
     if modulus < 2:
         raise MathError("modulus must be >= 2")
     m, n = _shape(M, ncols)
-    _, D, V = _snf(M, ncols, False, True)
+    columns = [{i: M[i][j] for i in range(m) if M[i][j]} for j in range(n)]
+    pivots, cols = _eliminate_units(columns, m)
+    eliminated = {j for j, _, _ in pivots}
+    free = [j for j in range(n) if j not in eliminated]
+    R = _dense_block(cols, free)
+    _, D, V = _snf(R, len(free), False, True)
     gens = []
-    for j in range(n):
-        d = D[j][j] if j < m else 0
-        if d == 0:
-            k = 1
-        else:
-            k = modulus // gcd(d, modulus)
-            if k == modulus:
-                continue  # only the zero residue class
-        vec = [(V[row][j] * k) % modulus for row in range(n)]
-        if any(vec):
-            gens.append(vec)
+    for c in range(len(free)):
+        d = D[c][c] if c < len(R) else 0
+        k = modulus // gcd(d, modulus)
+        if k == modulus:
+            continue  # only the zero residue class
+        x = [0] * n
+        for r, j in enumerate(free):
+            x[j] = V[r][c] * k % modulus
+        for j, u, prow in reversed(pivots):
+            # u*x_j + sum prow[i]*x_i = 0 and 1/u == u for a unit u
+            x[j] = -u * sum(a * x[i] for i, a in prow.items()) % modulus
+        if any(x):
+            gens.append(x)
     return gens
 
 
@@ -338,22 +353,24 @@ def cokernel(M, ncols=None):
     return AbelianGroup(rows - len(nonzero), torsion)
 
 
-def elementary_divisors(columns, nrows):
-    """The nonzero invariant factors d1 | d2 | ... of a sparse integer
-    matrix with nrows rows, given as a list of columns {row: coeff}.
+def _eliminate_units(columns, nrows):
+    """Sparse elimination of +-1 pivots from an integer matrix with nrows
+    rows, given as a list of columns {row: coeff}.
 
-    Entries +-1 are eliminated first, each contributing the factor 1: at
-    every step a unit is taken from the shortest column, in its shortest
+    At every step a unit is taken from the shortest column, in its shortest
     row, to keep the fill low (Dumas, Heckenbach, Saunders and Welker,
-    2003).  Only the block left without unit entries goes to the dense
-    Smith form.
+    2003).  Row operations clear the rest of its column; the pivot row and
+    column then leave the matrix.  Returns (pivots, cols): pivots lists
+    (j, u, prow) in elimination order, for the pivot u in column j and the
+    rest prow {col: coeff} of its row at that step, and cols maps each
+    column left with nonzero entries to them.
     """
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows = [dict() for _ in range(nrows)]
     for j, col in cols.items():
         for i, a in col.items():
             rows[i][j] = a
-    units = 0
+    pivots = []
     heap = [(len(col), j) for j, col in cols.items()]
     heapify(heap)
     while heap:
@@ -394,13 +411,32 @@ def elementary_divisors(columns, nrows):
                 heappush(heap, (len(ck), k))
             else:
                 del cols[k]
-        units += 1
-    live = sorted({i for col in cols.values() for i in col})
-    if not live:
-        return [1] * units
+        pivots.append((j, u, prow))
+    return pivots, cols
+
+
+def _dense_block(cols, order):
+    """The rows that the sparse columns touch, as a dense matrix over the
+    columns listed in order (a column missing from cols is zero)."""
+    live = sorted({i for j in order for i in cols.get(j, ())})
     where = {i: r for r, i in enumerate(live)}
-    M = [[0] * len(cols) for _ in live]
-    for c, col in enumerate(cols.values()):
-        for i, a in col.items():
-            M[where[i]][c] = a
-    return [1] * units + [d for d in snf_diagonal(M, len(cols)) if d]
+    R = [[0] * len(order) for _ in live]
+    for c, j in enumerate(order):
+        for i, a in cols.get(j, {}).items():
+            R[where[i]][c] = a
+    return R
+
+
+def elementary_divisors(columns, nrows):
+    """The nonzero invariant factors d1 | d2 | ... of a sparse integer
+    matrix with nrows rows, given as a list of columns {row: coeff}.
+
+    Entries +-1 are eliminated first (_eliminate_units), each contributing
+    the factor 1.  Only the block left without unit entries goes to the
+    dense Smith form.
+    """
+    pivots, cols = _eliminate_units(columns, nrows)
+    units = [1] * len(pivots)
+    if not cols:
+        return units
+    return units + [d for d in snf_diagonal(_dense_block(cols, list(cols)), len(cols)) if d]

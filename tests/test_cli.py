@@ -1,8 +1,16 @@
 import io
+import os
+import subprocess
+import sys
 
+import pytest
+
+import ktq.cli
 from ktq.cli import cli_main
 
 from conftest import fixture_path
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def run(*argv):
@@ -176,3 +184,36 @@ def test_correspondence_out_of_range_exits_2(tmp_path, capsys):
         )
         assert (code, out) == (2, "")
         assert "pair %s" % line in capsys.readouterr().err
+
+
+def test_internal_errors_exit_4(monkeypatch, capsys):
+    def broken(args, out):
+        raise RuntimeError("broken handler")
+
+    monkeypatch.setitem(ktq.cli._COMMANDS, "verify", broken)
+    assert run("verify", fixture_path("z3linear.ktq")) == (4, "")
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: broken handler\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "fixtures/z3linear.ktq", "fixtures/r3_after.dg", "fixtures/r3_before.dg",
+     "--variant", "N", "--correspondence", "fixtures/r3.corr", "--mod", "3"],
+    ["homology", "fixtures/z3linear.ktq", "--degree", "2", "--relators", "ID"],
+])
+def test_same_output_under_python_O(argv):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def ktq_run(*flags):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "ktq.cli", *argv],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        return done.returncode, done.stdout
+
+    plain = ktq_run()
+    assert plain[0] == 0 and plain[1]
+    assert ktq_run("-O") == plain

@@ -82,10 +82,11 @@ def test_variant_preconditions(z5affine, z3sum):
         homology(z3sum, 1, NAMED_VARIANTS["N"])  # not even a quasigroup
 
 
-def test_two_cocycle_counts(z3linear):
+def test_two_cocycle_counts(z3linear, z5affine):
     assert len(two_cocycles(z3linear, 3, NAMED_VARIANTS["N"])) == 10
     assert len(two_cocycles(z3linear, 3, NAMED_VARIANTS["NID"])) == 7
     assert len(two_cocycles(z3linear, 2, NAMED_VARIANTS["N"])) == 10
+    assert len(two_cocycles(z5affine, 5, NAMED_VARIANTS["N"])) == 20
 
 
 def test_two_cocycles_vanish_on_coboundaries_and_relators(z3linear):

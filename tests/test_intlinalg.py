@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import given, settings, strategies as st
+
 from ktq.intlinalg import (
     AbelianGroup,
     LatticeSolver,
@@ -186,6 +188,48 @@ def test_kernel_mod_composite_modulus():
     assert gens == [[2, 0]]
 
 
+def kernel_brute(M, cols, m):
+    """Every x in (Z/m)^cols with M*x = 0 mod m (test oracle)."""
+    return {
+        v
+        for v in product(range(m), repeat=cols)
+        if all(sum(a * x for a, x in zip(row, v)) % m == 0 for row in M)
+    }
+
+
+def span_mod(gens, cols, m):
+    """The additive span mod m of the generators."""
+    spanned = {(0,) * cols}
+    frontier = [(0,) * cols]
+    while frontier:
+        base = frontier.pop()
+        for g in gens:
+            nxt = tuple((b + x) % m for b, x in zip(base, g))
+            if nxt not in spanned:
+                spanned.add(nxt)
+                frontier.append(nxt)
+    return spanned
+
+
+def rank_mod_p(M, cols, p):
+    """Rank over F_p by Gauss-Jordan elimination (test oracle)."""
+    A = [[x % p for x in row] for row in M]
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][c], p - 2, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        r += 1
+    return r
+
+
 def test_kernel_mod_matches_brute_force():
     rng = random.Random(3)
     for m in (2, 3, 4, 6):
@@ -194,24 +238,28 @@ def test_kernel_mod_matches_brute_force():
             cols = rng.randint(1, 3)
             M = random_matrix(rng, rows, cols, 0, m - 1)
             gens = kernel_mod(M, m, cols)
-            brute = {
-                v
-                for v in product(range(m), repeat=cols)
-                if all(
-                    sum(M[i][j] * v[j] for j in range(cols)) % m == 0
-                    for i in range(rows)
-                )
-            }
-            spanned = {(0,) * cols}
-            frontier = [(0,) * cols]
-            while frontier:
-                base = frontier.pop()
-                for g in gens:
-                    nxt = tuple((b + x) % m for b, x in zip(base, g))
-                    if nxt not in spanned:
-                        spanned.add(nxt)
-                        frontier.append(nxt)
-            assert spanned == brute, (m, M)
+            assert span_mod(gens, cols, m) == kernel_brute(M, cols, m), (m, M)
+
+
+@st.composite
+def sparse_systems(draw):
+    """A sparse integer matrix with at most 5 columns and entries in
+    -3..3, mostly 0 and +-1, with a modulus in 2..9."""
+    cols = draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3))
+    M = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    return M, cols, draw(st.integers(2, 9))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(system=sparse_systems())
+def test_kernel_mod_spans_the_kernel(system):
+    M, cols, m = system
+    gens = kernel_mod(M, m, cols)
+    assert all(len(g) == cols and all(0 <= x < m for x in g) and any(g) for g in gens)
+    assert span_mod(gens, cols, m) == kernel_brute(M, cols, m)
+    if all(m % q for q in range(2, m)):
+        assert len(gens) == cols - rank_mod_p(M, cols, m)
 
 
 def test_cokernel_groups():

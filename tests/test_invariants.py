@@ -1,7 +1,10 @@
 import pytest
 
+import ktq.diagram
+import ktq.invariants
 from ktq import MathError
-from ktq.homology import NAMED_VARIANTS, Cochain, two_cocycles
+from ktq.diagram import associated_chain, colorings, matched_colorings
+from ktq.homology import NAMED_VARIANTS, Cochain, HomologyClassChecker, two_cocycles
 from ktq.invariants import (
     GroupRingElement,
     invariant_report,
@@ -9,7 +12,7 @@ from ktq.invariants import (
     state_sum,
 )
 
-from conftest import load_correspondence, load_diagram
+from conftest import load_algebra, load_correspondence, load_diagram
 
 
 def test_group_ring_rendering():
@@ -87,3 +90,72 @@ def test_invariant_report_rejects_flat_vs_classical(z3linear):
 def test_render_report_format():
     text = render_report([("a", "1"), ("verdict", "x y")])
     assert text == "a 1\nverdict x y\n"
+
+
+# (after, before, correspondence, algebra, modulus, variants)
+MOVES = [
+    ("kink.dg", "unknot0.dg", "kink_unknot.corr", "z3linear", 3, ("N", "NI", "NID")),
+    ("r2par_after.dg", "r2par_before.dg", "r2par.corr", "z3linear", 3, ("N", "NI", "NID")),
+    ("r2anti_after.dg", "r2anti_before.dg", "r2anti.corr", "z3linear", 3, ("N", "NI", "NID")),
+    ("r3_after.dg", "r3_before.dg", "r3.corr", "z3linear", 3, ("N", "NI", "NID")),
+    ("r3_after.dg", "r3_before.dg", "r3.corr", "z5affine", 5, ("N",)),
+    ("fr2par_after.dg", "fr2_before.dg", "fr2par.corr", "z3linear", 3, ("NI", "NID")),
+    ("fr2anti_after.dg", "fr2_before.dg", "fr2anti.corr", "z3linear", 3, ("NI", "NID")),
+    ("fr3_after.dg", "fr3_before.dg", "fr3.corr", "z3linear", 3, ("NI", "NID")),
+]
+
+
+def reference_rows(d1, d2, X, variant, pairs, cocycles):
+    """The report assembled from the public per-diagram functions."""
+    yn = {True: "yes", False: "no"}
+    n1, n2 = len(colorings(d1, X)), len(colorings(d2, X))
+    checker = HomologyClassChecker(X, variant)
+    matched = matched_colorings(d1, d2, X, pairs)
+    classes = all(
+        [checker.equal(associated_chain(d1, X, c1), associated_chain(d2, X, c2))
+         for c1, c2 in matched]
+    )
+    rows = [
+        ("colorings.first", str(n1)),
+        ("colorings.second", str(n2)),
+        ("colorings.equal", yn[n1 == n2]),
+        ("classes.checked", str(len(matched))),
+        ("classes.equal", yn[classes]),
+    ]
+    sums = True
+    for i, phi in enumerate(cocycles):
+        s1, s2 = state_sum(d1, X, phi), state_sum(d2, X, phi)
+        rows.append(("statesum.%d.first" % i, s1.render()))
+        rows.append(("statesum.%d.second" % i, s2.render()))
+        rows.append(("statesum.%d.equal" % i, yn[s1 == s2]))
+        sums = sums and s1 == s2
+    invariant = n1 == n2 and classes and sums
+    rows.append(("verdict", "consistent with invariance" if invariant else "distinguished"))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "after,before,corr,alg,m,vname",
+    [move[:5] + (v,) for move in MOVES for v in move[5]],
+)
+def test_report_searches_each_diagram_once(monkeypatch, after, before, corr, alg, m, vname):
+    X = load_algebra(alg + ".ktq")
+    d1, d2 = load_diagram(after), load_diagram(before)
+    pairs = load_correspondence(corr)
+    variant = NAMED_VARIANTS[vname]
+    cocycles = two_cocycles(X, m, variant)
+    expected = reference_rows(d1, d2, X, variant, pairs, cocycles)
+
+    searches = []
+
+    def counted(d, X):
+        searches.append(d)
+        return colorings(d, X)
+
+    monkeypatch.setattr(ktq.invariants, "colorings", counted)
+    monkeypatch.setattr(ktq.diagram, "colorings", counted)
+    rows = invariant_report(
+        d1, d2, X, variant=variant, correspondence=pairs, cocycles=cocycles
+    )
+    assert searches == [d1, d2]
+    assert rows == expected
