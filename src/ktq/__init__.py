@@ -32,7 +32,6 @@ from .diagram import (
     Diagram,
     associated_chain,
     colorings,
-    count_colorings,
     is_valid_coloring,
     parse_correspondence,
     parse_diagram,
@@ -44,7 +43,6 @@ from .homology import (
     Cochain,
     HomologyVariant,
     NAMED_VARIANTS,
-    class_equal,
     homology,
     parse_cocycle,
     serialize_cocycle,

@@ -207,10 +207,6 @@ def colorings(d, X):
     return out
 
 
-def count_colorings(d, X):
-    return len(colorings(d, X))
-
-
 def brute_force_colorings(d, X):
     """Independent oracle: filter all |X|**regions assignments."""
     _check_algebra(d, X)

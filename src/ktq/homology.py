@@ -17,6 +17,10 @@ elementary divisors (``intlinalg.elementary_divisors``, unit pivots first):
   d(r, c) = (-d r, r + d c): a free complex quasi-isomorphic to C/R
   (Weibel, An introduction to homological algebra, 1.5).
 
+HomologyClassChecker and two_cocycles read one degree-1 relation lattice,
+im d_2 + R_1: d_2 of the cone, whose rows are the triples since R_0 = 0,
+under the preconditions of homology(X, 1, v).
+
 A differential that does not square to zero, or relators that do not span
 a subcomplex, raise MathError.  All arithmetic is exact.
 """
@@ -91,13 +95,9 @@ def boundary_columns(X, n, kind="full"):
 
 def boundary_matrix(X, n, kind="full"):
     """Matrix of the degree-n differential: rows indexed by the degree n-1
-    basis, columns by the degree-n basis."""
-    cols = boundary_columns(X, n, kind)
-    M = [[0] * len(cols) for _ in range(X.order ** (n + 1))]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            M[i][j] = c
-    return M
+    basis, columns by the degree-n basis.  Nothing in ktq calls it; tests
+    and perfbench/tracing.py use it."""
+    return _dense(boundary_columns(X, n, kind), X.order ** (n + 1))
 
 
 def relator_columns(X, n, relators):
@@ -113,8 +113,13 @@ def default_degree_cap(order):
     return 4 if order <= 3 else 3
 
 
-def _columns_to_matrix(cols, nrows):
-    return [[col[i] for col in cols] for i in range(nrows)]
+def _dense(cols, nrows):
+    """Sparse columns {row: coeff} as a dense list of rows."""
+    M = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            M[i][j] = c
+    return M
 
 
 _LEAVES = "differential leaves the relator subcomplex"
@@ -163,10 +168,7 @@ class _RelatorLattices:
         """A LatticeSolver over the degree-m relators, or None for R_m = 0."""
         if m not in self._lattice:
             cols = relator_columns(self.X, m, self.relators)
-            self._lattice[m] = (
-                LatticeSolver(_columns_to_matrix(cols, self.X.order ** (m + 2)), len(cols))
-                if cols else None
-            )
+            self._lattice[m] = LatticeSolver(list(zip(*cols)), len(cols)) if cols else None
         return self._lattice[m]
 
     def rank(self, m):
@@ -220,12 +222,8 @@ def _check_variant(X, v):
         raise MathError("relator subgroups require a quasigroup")
 
 
-def _free_homology(differential, n):
-    """H_n of a free complex from its sparse differentials d_n, d_{n+1}."""
-    cols_n, rows_n = differential(n)
-    if not cols_n:
-        return AbelianGroup(0)
-    cols_n1, dim_n = differential(n + 1)
+def _check_square(cols_n, cols_n1, n):
+    """Refuse sparse differentials d_n, d_{n+1} with d_n d_{n+1} != 0."""
     for col in cols_n1:
         acc = {}
         for i, a in col.items():
@@ -233,6 +231,15 @@ def _free_homology(differential, n):
                 acc[k] = acc.get(k, 0) + a * b
         if any(acc.values()):
             raise MathError("the differential does not square to zero in degree %d" % n)
+
+
+def _free_homology(differential, n):
+    """H_n of a free complex from its sparse differentials d_n, d_{n+1}."""
+    cols_n, rows_n = differential(n)
+    if not cols_n:
+        return AbelianGroup(0)
+    cols_n1, dim_n = differential(n + 1)
+    _check_square(cols_n, cols_n1, n)
     rank_n = len(elementary_divisors(cols_n, rows_n))
     divisors = elementary_divisors(cols_n1, dim_n)
     return AbelianGroup(
@@ -257,11 +264,26 @@ def homology(X, n, v=HomologyVariant(), degree_cap=None):
             % (n, cap, X.order)
         )
     kind = v.diff_kind
+    # D keeps the row/column restriction: sending it through the dense
+    # relator lattice of _RelatorLattices took z5affine H2 D-sub from 0.12 s
+    # to 1.5 s and the process from 26 MB to 131 MB (2-core Xeon VM,
+    # Python 3.11).
     if v.relators in ("none", "D"):
         part = None if v.relators == "none" else v.mode == "subcomplex"
         return _free_homology(lambda m: _tuple_differential(X, m, kind, part), n)
     lattices = _RelatorLattices(X, v.relators, kind)
     return _free_homology(lattices.cone if v.mode == "quotient" else lattices.sub, n)
+
+
+def _degree1_relations(X, v):
+    """im d_2 + R_1 of a quotient variant: d_2 of the cone of R -> C as sparse
+    columns over the triples (R_0 = 0).  Refuses what homology(X, 1, v)
+    refuses: the relator set, relators leaving R, or d_1 d_2 != 0."""
+    _check_variant(X, v)
+    lattices = _RelatorLattices(X, v.relators, v.diff_kind)
+    cols, _ = lattices.cone(2)
+    _check_square(lattices.cone(1)[0], cols, 1)
+    return cols
 
 
 class Cochain:
@@ -305,52 +327,39 @@ class Cochain:
 def two_cocycles(X, modulus, v):
     """Generators of the mod-m cocycles on triples for the given variant.
 
-    A cocycle vanishes on the full differential of every degree-2 tuple and
-    on every degree-1 relator generator of the variant.
+    A cocycle vanishes on im d_2 + R_1 (_degree1_relations), and a variant
+    is refused where homology(X, 1, v) refuses it.
     """
     if v.mode != "quotient" or v.diff_kind != "full":
         raise MathError("cocycles are defined for the quotient/full variants")
-    _check_variant(X, v)
-    triples = chain_basis(X.order, 1)
-    index = {t: i for i, t in enumerate(triples)}
     from .intlinalg import kernel_mod
 
-    rows = []
-    for tup in chain_basis(X.order, 2):
-        rows.append(chain_vector(boundary_tuple(X, tup, "full"), index))
-    if v.relators != "none":
-        for g in relator_generators(X, 1, v.relators):
-            rows.append(chain_vector(g, index))
-    gens = kernel_mod(rows, modulus, len(triples))
-    out = []
-    for vec in gens:
-        values = {triples[i]: x for i, x in enumerate(vec) if x % modulus}
-        if values:
-            out.append(Cochain(modulus, values))
-    return out
+    triples = chain_basis(X.order, 1)
+    n = len(triples)
+    rows = [[col.get(i, 0) for i in range(n)] for col in _degree1_relations(X, v)]
+    # kernel_mod returns nonzero vectors reduced mod the modulus
+    return [
+        Cochain(modulus, {triples[i]: x for i, x in enumerate(vec) if x})
+        for vec in kernel_mod(rows, modulus, n)
+    ]
 
 
 class HomologyClassChecker:
     """Decides equality of homology classes of degree-1 cycles.
 
-    Two cycles are equal in the variant iff their difference lies in the
-    integer span of all degree-2 differentials together with the degree-1
-    relator generators, so only quotient variants are decided.
+    Two cycles are equal in the variant iff their difference lies in
+    im d_2 + R_1 (_degree1_relations), so only quotient variants are
+    decided, and only where homology(X, 1, v) is.
     """
 
     def __init__(self, X, v=HomologyVariant("D", "quotient", "full")):
         if v.mode != "quotient":
             raise MathError("homology classes are compared in quotient mode only")
-        _check_variant(X, v)
         self.X = X
         self.v = v
-        triples = chain_basis(X.order, 1)
-        self.index = {t: i for i, t in enumerate(triples)}
-        M = boundary_matrix(X, 2, v.diff_kind)
-        if v.relators != "none":
-            rel = relator_columns(X, 1, v.relators)
-            M = [row + [col[i] for col in rel] for i, row in enumerate(M)]
-        self.solver = LatticeSolver(M, len(M[0]))
+        self.index = {t: i for i, t in enumerate(chain_basis(X.order, 1))}
+        cols = _degree1_relations(X, v)
+        self.solver = LatticeSolver(_dense(cols, len(self.index)), len(cols))
 
     def _check_cycle(self, c, name):
         if c.degree != 1:
@@ -362,11 +371,6 @@ class HomologyClassChecker:
         self._check_cycle(c1, "first")
         self._check_cycle(c2, "second")
         return self.solver.contains(chain_vector(c1 - c2, self.index))
-
-
-def class_equal(X, c1, c2, v=HomologyVariant("D", "quotient", "full")):
-    """One-shot homology-class comparison of two degree-1 cycles."""
-    return HomologyClassChecker(X, v).equal(c1, c2)
 
 
 def parse_cocycle(text):

@@ -49,7 +49,7 @@ class GroupRingElement:
 
 
 def _check_cocycle(X, phi):
-    if any(t >= X.order for tup in phi.values for t in tup):
+    if any(not 0 <= t < X.order for tup in phi.values for t in tup):
         raise MathError("cocycle refers to elements outside the algebra")
 
 

@@ -9,7 +9,6 @@ from ktq.diagram import (
     associated_chain,
     brute_force_colorings,
     colorings,
-    count_colorings,
     is_valid_coloring,
     matched_colorings,
     parse_correspondence,
@@ -104,11 +103,11 @@ def test_solver_matches_brute_force_on_small_diagrams(d, order1, z2sum, z3linear
 
 
 def test_specific_coloring_counts(z3linear, z5affine):
-    assert count_colorings(load_diagram("trefoil.dg"), z3linear) == 3
-    assert count_colorings(load_diagram("unknot0.dg"), z3linear) == 9
-    assert count_colorings(load_diagram("unknot0.dg"), z5affine) == 25
-    assert count_colorings(load_diagram("kink.dg"), z3linear) == 9
-    assert count_colorings(load_diagram("marker.dg"), z3linear) == 3
+    assert len(colorings(load_diagram("trefoil.dg"), z3linear)) == 3
+    assert len(colorings(load_diagram("unknot0.dg"), z3linear)) == 9
+    assert len(colorings(load_diagram("unknot0.dg"), z5affine)) == 25
+    assert len(colorings(load_diagram("kink.dg"), z3linear)) == 9
+    assert len(colorings(load_diagram("marker.dg"), z3linear)) == 3
 
 
 def test_flat_requires_iktq(z5affine):

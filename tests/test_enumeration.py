@@ -111,9 +111,18 @@ def test_check_a3_matches_the_literal_equations(t):
     assert (rep.a3l, rep.a3r, rep.a3l_witness, rep.a3r_witness) == oracle.check_a3(t)
 
 
-def test_traced_benchmark_job_matches_the_untraced_run(tmp_path):
+TRACED_JOBS = {
+    "enumerate": ["enumerate", "--order", "3", "--filter", "ktq", "--dedup"],
+    "compare": ["compare", "fixtures/z3linear.ktq", "fixtures/fr3_after.dg",
+                "fixtures/fr3_before.dg", "--variant", "NI",
+                "--correspondence", "fixtures/fr3.corr", "--mod", "3"],
+}
+
+
+@pytest.mark.parametrize("job", list(TRACED_JOBS))
+def test_traced_benchmark_job_matches_the_untraced_run(tmp_path, monkeypatch, job):
     # the benchmark's tracer patches ktq names and fails when one is missing
-    argv = ["enumerate", "--order", "3", "--filter", "ktq", "--dedup"]
+    argv = TRACED_JOBS[job]
     report = tmp_path / "report.json"
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
@@ -122,7 +131,14 @@ def test_traced_benchmark_job_matches_the_untraced_run(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(ROOT)  # the argv names fixtures relative to the checkout
     assert proc.stdout == run_cli(*argv)[1]
     trace = json.loads(report.read_text())["trace"]
-    assert "algebra.enumerate" in trace["total"]
-    assert "algebra.canonical_form" in trace["total"]
+    if job == "enumerate":
+        assert "algebra.enumerate" in trace["total"]
+        assert "algebra.canonical_form" in trace["total"]
+    else:
+        # one class check per matched pair, both seen by the tracer
+        assert "homology.checker_init" in trace["total"]
+        counts = trace["counts"]
+        assert counts["homology.checker_equal.calls"] == counts["diagram.matched.pairs"] > 0
