@@ -18,8 +18,6 @@ from .chains import (
     Chain,
     all_tuples,
     boundary,
-    chain_from_text,
-    chain_to_text,
     face_l,
     face_r,
     i_relator,
@@ -35,7 +33,6 @@ from .diagram import (
     is_valid_coloring,
     parse_correspondence,
     parse_diagram,
-    presentation,
     serialize_diagram,
 )
 from .errors import FormatError, KtqError, MathError

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Optional
 
-from .errors import FormatError, MathError
+from .errors import FormatError, MathError, integers, read_records
 
 
 class OpTable:
@@ -243,13 +243,13 @@ def check_a3(t):
 
 def classify(t):
     """Build a TernaryQuasigroup with all flags set for the given table."""
-    ok = validate_quasigroup(t).ok
-    l = m = r = None
-    if ok:
+    try:
         l, m, r = derive_divisions(t)
+    except MathError:  # not a quasigroup
+        l = m = r = None
     a3 = check_a3(t)
-    involutory = ok and m.values == t.values
-    return TernaryQuasigroup(t, l, m, r, ok, a3.a3l, a3.a3r, involutory)
+    involutory = m is not None and m.values == t.values
+    return TernaryQuasigroup(t, l, m, r, m is not None, a3.a3l, a3.a3r, involutory)
 
 
 def affine_table(n, alpha, beta, gamma):
@@ -420,33 +420,10 @@ def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
 
 
 def parse_algebra(text):
-    """Parse the algebra file format: '#' comments, a 'ktq <n>' header, then
-    n**3 whitespace-separated entries in lexicographic argument order."""
-    order = None
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if order is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "ktq":
-                raise FormatError("line %d: expected header 'ktq <n>'" % lineno)
-            try:
-                order = int(parts[1])
-            except ValueError:
-                raise FormatError("line %d: bad order %r" % (lineno, parts[1]))
-            if order < 1:
-                raise FormatError("line %d: order must be positive" % lineno)
-        else:
-            for tok in line.split():
-                try:
-                    entries.append(int(tok))
-                except ValueError:
-                    raise FormatError("line %d: bad entry %r" % (lineno, tok))
-    if order is None:
-        raise FormatError("empty algebra file")
-    return OpTable(order, entries)
+    """Algebra file format: header 'ktq <n>', then the n**3 entries in
+    lexicographic argument order, on as many lines as the writer likes."""
+    order, rows = read_records(text, "ktq", lambda n, fields: integers(fields))
+    return OpTable(order, [v for row in rows for v in row])
 
 
 def serialize_algebra(t):

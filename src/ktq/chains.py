@@ -7,7 +7,7 @@ sparse maps from tuples to nonzero integer coefficients.
 
 from itertools import product
 
-from .errors import FormatError, MathError
+from .errors import MathError
 
 
 class Chain:
@@ -248,37 +248,3 @@ def relator_generators(X, n, variant):
             for j in range(1, n + 1):
                 gens.append(i_relator(X, tup, j))
     return gens
-
-
-def chain_to_text(c):
-    """One term per line: '<coeff> <x0> ... <xk>', tuples in lex order."""
-    lines = []
-    for tup, coeff in sorted(c.terms.items()):
-        lines.append(" ".join([str(coeff)] + [str(x) for x in tup]))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def chain_from_text(text):
-    """Parse the chain text format; degree is inferred from term length."""
-    terms = []
-    length = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            nums = [int(p) for p in parts]
-        except ValueError:
-            raise FormatError("line %d: bad integer in %r" % (lineno, raw))
-        if len(nums) < 2:
-            raise FormatError("line %d: expected '<coeff> <x0> ...'" % lineno)
-        coeff, tup = nums[0], tuple(nums[1:])
-        if length is None:
-            length = len(tup)
-        elif len(tup) != length:
-            raise FormatError("line %d: mixed tuple lengths" % lineno)
-        terms.append((tup, coeff))
-    if length is None:
-        raise FormatError("empty chain")
-    return Chain(length - 2, terms)

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Tuple
 
 from .chains import Chain, boundary
-from .errors import FormatError, MathError
+from .errors import FormatError, MathError, integers, read_records
 
 CROSSING_KINDS = ("P", "N", "F", "M")
 
@@ -61,41 +61,19 @@ class Diagram:
 
 
 def parse_diagram(text):
-    """Diagram file format: '#' comments, header 'diagram <num_regions>',
-    then one crossing per line: 'P a b c d' | 'N a b c d' | 'F a b c d' |
+    """Diagram file format: header 'diagram <num_regions>', then one
+    crossing per line: 'P a b c d' | 'N a b c d' | 'F a b c d' |
     'M p q p2 q2' (0-based region indices)."""
-    num_regions = None
-    crossings = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if num_regions is None:
-            if len(parts) != 2 or parts[0] != "diagram":
-                raise FormatError("line %d: expected header 'diagram <n>'" % lineno)
-            try:
-                num_regions = int(parts[1])
-            except ValueError:
-                raise FormatError("line %d: bad region count %r" % (lineno, parts[1]))
-            continue
-        if len(parts) != 5 or parts[0] not in CROSSING_KINDS:
-            raise FormatError(
-                "line %d: expected '<P|N|F|M> r r r r', got %r" % (lineno, raw)
-            )
-        try:
-            corners = tuple(int(p) for p in parts[1:])
-        except ValueError:
-            raise FormatError("line %d: bad region index" % lineno)
+    def crossing(n, fields):
+        if len(fields) != 5:
+            raise FormatError("expected '<P|N|F|M> r r r r'")
+        corners = tuple(integers(fields[1:]))
         for r in corners:
-            if not 0 <= r < num_regions:
-                raise FormatError(
-                    "line %d: region index %d out of range" % (lineno, r)
-                )
-        crossings.append(Crossing(parts[0], corners))
-    if num_regions is None:
-        raise FormatError("empty diagram file")
-    return Diagram(num_regions, tuple(crossings))
+            if not 0 <= r < n:
+                raise FormatError("region index %d out of range" % r)
+        return Crossing(fields[0], corners)
+
+    return Diagram(*read_records(text, "diagram", crossing))
 
 
 def serialize_diagram(d):
@@ -217,24 +195,6 @@ def brute_force_colorings(d, X):
     ]
 
 
-def presentation(d):
-    """The finitely presented algebra of a diagram, as text: one generator
-    per region, one relation per crossing.  No simplification."""
-    names = ["r%d" % i for i in range(d.num_regions)]
-    lines = ["generators: " + ", ".join(names)]
-    for c in d.crossings:
-        if c.kind == "M":
-            p, q, p2, q2 = c.corners
-            lines.append("%s = %s" % (names[p], names[p2]))
-            lines.append("%s = %s" % (names[q], names[q2]))
-        else:
-            a, b, cc, dd = c.corners
-            lines.append(
-                "T(%s, %s, %s) = %s" % (names[a], names[b], names[cc], names[dd])
-            )
-    return "\n".join(lines) + "\n"
-
-
 def associated_chain(d, X, col):
     """The degree-1 chain of a colored diagram: +(a,b,c) per positive or
     flat crossing, -(a,b,c) per negative one; markers contribute nothing.
@@ -255,24 +215,17 @@ def associated_chain(d, X, col):
 
 
 def parse_correspondence(text):
-    """Fixture correspondence file: '#' comments, optional header
-    'correspondence', then lines 'i j' pairing region i of the first
-    diagram with region j of the second."""
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "correspondence":
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError("line %d: expected 'i j'" % lineno)
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise FormatError("line %d: bad region index" % lineno)
-    return pairs
+    """Correspondence file format: lines 'i j' pairing region i of the first
+    diagram with region j of the second.  It has no '<keyword> <n>' header;
+    a line 'correspondence' may appear anywhere and is skipped."""
+    def pair(_, fields):
+        if fields == ["correspondence"]:
+            return None
+        if len(fields) != 2:
+            raise FormatError("expected 'i j'")
+        return tuple(integers(fields))
+
+    return [p for p in read_records(text, None, pair)[1] if p is not None]
 
 
 def join_colorings(d1, d2, cols1, cols2, pairs):

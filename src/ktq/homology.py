@@ -26,6 +26,7 @@ a subcomplex, raise MathError.  All arithmetic is exact.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from .chains import (
     Chain,
     all_tuples,
@@ -34,7 +35,7 @@ from .chains import (
     is_d_degenerate,
     relator_generators,
 )
-from .errors import FormatError, MathError
+from .errors import FormatError, MathError, integers, read_records
 from .intlinalg import AbelianGroup, LatticeSolver, elementary_divisors
 
 # Unused here, but looked up in this module by name: perfbench/tracing.py
@@ -275,15 +276,17 @@ def homology(X, n, v=HomologyVariant(), degree_cap=None):
     return _free_homology(lattices.cone if v.mode == "quotient" else lattices.sub, n)
 
 
+@lru_cache(maxsize=1)
 def _degree1_relations(X, v):
     """im d_2 + R_1 of a quotient variant: d_2 of the cone of R -> C as sparse
-    columns over the triples (R_0 = 0).  Refuses what homology(X, 1, v)
-    refuses: the relator set, relators leaving R, or d_1 d_2 != 0."""
+    columns over the triples (R_0 = 0), cached for a report's class checks
+    and cocycles.  Refuses what homology(X, 1, v) refuses: the relator set,
+    relators leaving R, or d_1 d_2 != 0."""
     _check_variant(X, v)
     lattices = _RelatorLattices(X, v.relators, v.diff_kind)
     cols, _ = lattices.cone(2)
     _check_square(lattices.cone(1)[0], cols, 1)
-    return cols
+    return tuple(cols)
 
 
 class Cochain:
@@ -374,36 +377,19 @@ class HomologyClassChecker:
 
 
 def parse_cocycle(text):
-    """Cocycle file format: 'cocycle <m>' header, then 'a b c -> v' lines
-    for the nonzero values; '#' starts a comment."""
-    modulus = None
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if modulus is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "cocycle":
-                raise FormatError("line %d: expected header 'cocycle <m>'" % lineno)
-            try:
-                modulus = int(parts[1])
-            except ValueError:
-                raise FormatError("line %d: bad modulus %r" % (lineno, parts[1]))
-            if modulus < 2:
-                raise FormatError("line %d: modulus must be >= 2" % lineno)
-            continue
-        parts = line.split()
-        if len(parts) != 5 or parts[3] != "->":
-            raise FormatError("line %d: expected 'a b c -> v'" % lineno)
-        try:
-            a, b, c, val = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[4])
-        except ValueError:
-            raise FormatError("line %d: bad integer" % lineno)
-        values[(a, b, c)] = val
-    if modulus is None:
-        raise FormatError("empty cocycle file")
-    return Cochain(modulus, values)
+    """Cocycle file format: header 'cocycle <m>' with m >= 2, then
+    'a b c -> v' lines for the nonzero values; a later line for the same
+    triple overrides an earlier one."""
+    def value(_, fields):
+        if len(fields) != 5 or fields[3] != "->":
+            raise FormatError("expected 'a b c -> v'")
+        a, b, c, v = integers(fields[:3] + fields[4:])
+        return (a, b, c), v
+
+    modulus, values = read_records(text, "cocycle", value)
+    if modulus < 2:
+        raise FormatError("header 'cocycle %d': the modulus must be >= 2" % modulus)
+    return Cochain(modulus, dict(values))
 
 
 def serialize_cocycle(phi):

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+import ktq.algebra
 from ktq import FormatError, MathError
 from ktq.algebra import (
     OpTable,
@@ -93,6 +94,20 @@ def test_classify_flags(z3linear, z5affine, z3sum, order1):
     assert z5affine.is_ktq and not z5affine.is_involutory and not z5affine.is_iktq
     assert z3sum.is_quasigroup and not z3sum.is_ktq
     assert order1.is_iktq
+
+
+def test_classify_checks_the_quasigroup_property_once(monkeypatch):
+    calls = []
+    check = ktq.algebra.validate_quasigroup
+    monkeypatch.setattr(
+        ktq.algebra, "validate_quasigroup", lambda t: calls.append(t) or check(t)
+    )
+    for t in (affine_table(3, 1, 2, 1), affine_table(4, 1, 2, 1)):
+        calls.clear()
+        q = classify(t)
+        assert len(calls) == 1
+        assert (q.l is None) == (not q.is_quasigroup)
+    assert not q.is_quasigroup and not q.is_involutory
 
 
 def test_classify_affine_family():

@@ -8,8 +8,6 @@ from ktq.chains import (
     all_tuples,
     boundary,
     boundary_tuple,
-    chain_from_text,
-    chain_to_text,
     d1_holds,
     d2_holds,
     face_l,
@@ -169,9 +167,3 @@ def test_relator_boundaries_stay_in_relator_span(z3linear):
     for variant in ("D", "I", "ID"):
         for g in relator_generators(z3linear, 1, variant):
             assert not boundary(z3linear, g, "full"), (variant, g)
-
-
-def test_chain_text_roundtrip():
-    c = Chain(1, {(0, 1, 2): -2, (1, 0, 0): 3})
-    assert chain_from_text(chain_to_text(c)) == c
-    assert chain_to_text(Chain(1)) == ""

@@ -13,7 +13,6 @@ from ktq.diagram import (
     matched_colorings,
     parse_correspondence,
     parse_diagram,
-    presentation,
     serialize_diagram,
 )
 
@@ -137,14 +136,6 @@ def test_marker_constraint(z3linear):
         m = next(c for c in d.crossings if c.kind == "M")
         p, q, p2, q2 = m.corners
         assert col[p] == col[p2] and col[q] == col[q2]
-
-
-def test_presentation_text(z3linear):
-    text = presentation(load_diagram("kink.dg"))
-    assert "generators: r0, r1, r2" in text
-    assert "T(r0, r1, r2) = r1" in text
-    text = presentation(load_diagram("marker.dg"))
-    assert "r1 = r2" in text or "r0 = r2" in text or "r1 = r0" in text
 
 
 def test_associated_chain_is_cycle_everywhere(z3linear, z5affine):

@@ -4,6 +4,9 @@ assembly the checker used before it (boundary_matrix with the
 relator_columns appended), and its preconditions against homology(X, 1, v).
 """
 
+import importlib
+import io
+
 import pytest
 
 from ktq import MathError
@@ -18,9 +21,10 @@ from ktq.homology import (
     relator_columns,
     two_cocycles,
 )
+from ktq.cli import cli_main
 from ktq.intlinalg import lattice_basis
 
-from conftest import load_algebra
+from conftest import fixture_path, load_algebra
 
 KTQS = ["order1", "z2sum", "z2sum1", "z3linear", "z5affine"]
 KINDS = ("L", "R", "full")
@@ -77,3 +81,26 @@ def test_refuses_what_homology_refuses(relators):
             if kind == "full":
                 assert refused(lambda: two_cocycles(X, 2, v)) == expected, (X.t.values, v)
     assert seen == {True, False}
+
+
+def test_compare_builds_the_relation_lattice_once(monkeypatch):
+    # the class checks and the mod-m cocycles of one report share one build
+    module = importlib.import_module("ktq.homology")  # ktq.homology is the function
+    built = []
+
+    class Counted(module._RelatorLattices):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(module, "_RelatorLattices", Counted)
+    _degree1_relations.cache_clear()
+    code = cli_main(
+        ["compare", fixture_path("z3linear.ktq"), fixture_path("fr3_after.dg"),
+         fixture_path("fr3_before.dg"), "--variant", "NI",
+         "--correspondence", fixture_path("fr3.corr"), "--mod", "3"],
+        io.StringIO(),
+    )
+    _degree1_relations.cache_clear()
+    assert code == 0
+    assert len(built) == 1
