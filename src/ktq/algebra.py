@@ -205,6 +205,9 @@ A3R = _compile("abcd", "T(a, b, T(b,c,d)) = T(a, T(a,b,c), T(T(a,b,c), c, d))")
 # T = M, i.e. each map y -> T(x, y, z) is its own inverse
 INVOLUTION = _compile("xyz", "T(x, T(x,y,z), z) = y")
 
+#: The axioms each enumeration filter checks, by filter name.
+FILTER_AXIOMS = {"all_quasigroups": (), "ktq": (A3L, A3R), "iktq": (A3L, A3R, INVOLUTION)}
+
 
 def _evaluate(v, n, axiom, args):
     """One instance of an axiom on the flat table v of order n, where None
@@ -400,7 +403,7 @@ def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
     explicitly to override: order 5 takes about ten seconds with the 'iktq'
     filter and about 25 minutes with 'ktq'.
     """
-    if filt not in ("all_quasigroups", "ktq", "iktq"):
+    if filt not in FILTER_AXIOMS:
         raise ValueError("unknown filter %r" % (filt,))
     if n < 1:
         raise FormatError("order must be a positive integer")
@@ -409,9 +412,8 @@ def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
             "order %d exceeds the enumeration cap %d; raise max_order to override"
             % (n, max_order)
         )
-    axioms = {"all_quasigroups": (), "ktq": (A3L, A3R), "iktq": (A3L, A3R, INVOLUTION)}
     out = []
-    for values in _checked_latin_tables(n, axioms[filt]):
+    for values in _checked_latin_tables(n, FILTER_AXIOMS[filt]):
         t = OpTable(n, values)
         if dedup and canonical_form(t) != values:
             continue

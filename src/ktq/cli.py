@@ -10,11 +10,19 @@ stdout.
 import argparse
 import sys
 
-from .algebra import classify, enumerate_ktqs, parse_algebra, serialize_algebra
+from .algebra import (
+    FILTER_AXIOMS,
+    classify,
+    enumerate_ktqs,
+    parse_algebra,
+    serialize_algebra,
+)
 from .diagram import colorings, parse_correspondence, parse_diagram
 from .errors import FormatError, MathError
 from .homology import (
+    DIFF_CHOICES,
     NAMED_VARIANTS,
+    RELATOR_CHOICES,
     HomologyVariant,
     homology,
     parse_cocycle,
@@ -42,21 +50,16 @@ def build_parser():
 
     s = sub.add_parser("enumerate", help="enumerate tables of a given order")
     s.add_argument("--order", type=int, required=True)
-    s.add_argument(
-        "--filter",
-        choices=("all_quasigroups", "ktq", "iktq"),
-        default="ktq",
-        dest="filt",
-    )
+    s.add_argument("--filter", choices=tuple(FILTER_AXIOMS), default="ktq", dest="filt")
     s.add_argument("--dedup", action="store_true")
     s.add_argument("--max-order", type=int, default=4)
 
     s = sub.add_parser("homology", help="a homology group of an algebra")
     s.add_argument("algebra")
     s.add_argument("--degree", type=int, required=True)
-    s.add_argument("--relators", choices=("none", "D", "I", "ID"), default="none")
+    s.add_argument("--relators", choices=RELATOR_CHOICES, default="none")
     s.add_argument("--mode", choices=("sub", "quot"), default="quot")
-    s.add_argument("--diff", choices=("L", "R", "full"), default="full")
+    s.add_argument("--diff", choices=DIFF_CHOICES, default="full")
     s.add_argument("--degree-cap", type=int, default=None)
 
     s = sub.add_parser("color", help="count (and list) diagram colorings")
@@ -67,7 +70,7 @@ def build_parser():
     s = sub.add_parser("cocycles", help="generators of mod-m two-cocycles")
     s.add_argument("algebra")
     s.add_argument("--mod", type=int, required=True)
-    s.add_argument("--relators", choices=("D", "I", "ID"), required=True)
+    s.add_argument("--relators", choices=RELATOR_CHOICES[1:], required=True)
 
     s = sub.add_parser("statesum", help="cocycle state sum of a diagram")
     s.add_argument("algebra")
@@ -207,10 +210,7 @@ def cli_main(argv=None, out=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except FormatError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, OSError, UnicodeDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except MathError as exc:

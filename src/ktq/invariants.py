@@ -1,10 +1,9 @@
 """Cocycle state sums and invariance reports over fixture diagram pairs.
 
-A report searches each diagram's colorings once and reuses the two lists
-for the counts, the matched pairs and every state sum.  The state sums of
-all cocycles come from one pass over a diagram's colorings: each
-coloring's signed crossing triples are tallied once, and every cocycle is
-evaluated on that tally.
+Both invariants are read off each coloring's associated chain
+(diagram.associated_chain): its homology class and its cocycle values.  A
+report searches each diagram's colorings once and builds each coloring's
+chain at most once, for the class checks and every state sum.
 """
 
 from dataclasses import dataclass
@@ -53,31 +52,24 @@ def _check_cocycle(X, phi):
         raise MathError("cocycle refers to elements outside the algebra")
 
 
-def _state_sums(d, cols, cocycles):
-    """The state sum of each cocycle over the colorings cols of d."""
-    signed = [
-        (-1 if cr.kind == "N" else 1,) + cr.corners[:3]
-        for cr in d.crossings
-        if cr.kind != "M"
-    ]
+def _state_sums(chains, cocycles):
+    """The state sum of each cocycle over the associated chains of a
+    diagram's colorings."""
     sums = [(phi, {}) for phi in cocycles]
-    for col in cols:
-        tally = {}
-        for sign, a, b, c in signed:
-            tri = (col[a], col[b], col[c])
-            tally[tri] = tally.get(tri, 0) + sign
+    for z in chains:
         for phi, acc in sums:
-            s = sum(n * phi(tri) for tri, n in tally.items()) % phi.modulus
+            s = phi.evaluate(z)
             acc[s] = acc.get(s, 0) + 1
     return [GroupRingElement.from_dict(phi.modulus, acc) for phi, acc in sums]
 
 
 def state_sum(d, X, phi):
-    """The cocycle state sum: for each coloring, accumulate the signed sum
-    of cocycle values over crossings (markers contribute nothing), and
-    record one group-ring unit at the resulting residue."""
+    """The cocycle state sum: for each coloring, evaluate the cocycle on
+    the associated chain (markers contribute nothing), and record one
+    group-ring unit at the resulting residue."""
     _check_cocycle(X, phi)
-    return _state_sums(d, colorings(d, X), [phi])[0]
+    chains = [associated_chain(d, X, col) for col in colorings(d, X)]
+    return _state_sums(chains, [phi])[0]
 
 
 def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
@@ -101,24 +93,27 @@ def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
     counts_equal = n1 == n2
     rows.append(("colorings.equal", "yes" if counts_equal else "no"))
 
+    cocycles = tuple(cocycles)
+    chains1 = chains2 = {}
+    if correspondence is not None or cocycles:
+        chains1 = {col: associated_chain(d1, X, col) for col in cols1}
+        chains2 = {col: associated_chain(d2, X, col) for col in cols2}
+
     classes_equal = True
     if correspondence is not None:
         checker = HomologyClassChecker(X, variant)
-        checked = 0
-        for c1, c2 in matched_colorings(d1, d2, cols1, cols2, correspondence):
-            eq = checker.equal(
-                associated_chain(d1, X, c1), associated_chain(d2, X, c2)
-            )
-            classes_equal = classes_equal and eq
-            checked += 1
-        rows.append(("classes.checked", str(checked)))
+        matched = matched_colorings(d1, d2, cols1, cols2, correspondence)
+        equal = [checker.equal(chains1[c1], chains2[c2]) for c1, c2 in matched]
+        classes_equal = all(equal)
+        rows.append(("classes.checked", str(len(equal))))
         rows.append(("classes.equal", "yes" if classes_equal else "no"))
 
-    cocycles = tuple(cocycles)
     for phi in cocycles:
         _check_cocycle(X, phi)
     sums_equal = True
-    sums = zip(_state_sums(d1, cols1, cocycles), _state_sums(d2, cols2, cocycles))
+    sums = zip(
+        _state_sums(chains1.values(), cocycles), _state_sums(chains2.values(), cocycles)
+    )
     for i, (s1, s2) in enumerate(sums):
         rows.append(("statesum.%d.first" % i, s1.render()))
         rows.append(("statesum.%d.second" % i, s2.render()))

@@ -136,6 +136,10 @@ def test_format_errors_exit_2(tmp_path, capsys):
     baddg.write_text("diagram 2\nP 0 1 2 0\n")
     assert run("color", fixture_path("z3linear.ktq"), str(baddg))[0] == 2
     capsys.readouterr()
+    latin1 = tmp_path / "latin1.ktq"
+    latin1.write_bytes(b"ktq 1\n\xff\n")  # not UTF-8
+    assert run("verify", str(latin1)) == (2, "")
+    assert capsys.readouterr().err.startswith("input error: 'utf-8' codec can't decode")
 
 
 def test_math_errors_exit_3(tmp_path, capsys):
@@ -178,6 +182,17 @@ def test_math_errors_exit_3(tmp_path, capsys):
         code, out = run("compare", *pair, "--variant", variant)
         assert code == 0 and out.startswith("colorings.first "), variant
     capsys.readouterr()
+    # a lone crossing does not close up: the class checks refuse its chains
+    open_dg = tmp_path / "open.dg"
+    open_dg.write_text("diagram 4\nP 0 1 2 3\n")
+    corr = tmp_path / "open.corr"
+    corr.write_text("0 0\n")
+    code, out = run(
+        "compare", fixture_path("z3linear.ktq"), str(open_dg), fixture_path("unknot0.dg"),
+        "--correspondence", str(corr),
+    )
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "precondition error: first chain is not a cycle\n"
 
 
 # (algebra, relators, modulus, exit code, sha256 of stdout); the same bytes
@@ -261,15 +276,29 @@ def test_internal_errors_exit_4(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["compare", "fixtures/z3linear.ktq", "fixtures/r3_after.dg", "fixtures/r3_before.dg",
-     "--variant", "N", "--correspondence", "fixtures/r3.corr", "--mod", "3"],
-    ["homology", "fixtures/z3linear.ktq", "--degree", "2", "--relators", "ID"],
+# inputs of the -O cases besides the fixtures, written to a scratch directory
+SCRATCH_INPUTS = {
+    "open.dg": b"diagram 4\nP 0 1 2 3\n",  # a lone crossing: not a cycle
+    "open.corr": b"0 0\n",
+    "latin1.ktq": b"ktq 1\n\xff\n",  # not UTF-8
+}
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["compare", "fixtures/z3linear.ktq", "fixtures/r3_after.dg", "fixtures/r3_before.dg",
+      "--variant", "N", "--correspondence", "fixtures/r3.corr", "--mod", "3"], 0),
+    (["homology", "fixtures/z3linear.ktq", "--degree", "2", "--relators", "ID"], 0),
+    (["compare", "fixtures/z3linear.ktq", "open.dg", "fixtures/unknot0.dg",
+      "--correspondence", "open.corr"], 3),
+    (["verify", "latin1.ktq"], 2),
 ])
-def test_same_output_under_python_O(argv):
+def test_same_output_under_python_O(argv, code, tmp_path):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for name, data in SCRATCH_INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a) if a in SCRATCH_INPUTS else a for a in argv]
 
     def ktq_run(*flags):
         done = subprocess.run(
@@ -279,5 +308,5 @@ def test_same_output_under_python_O(argv):
         return done.returncode, done.stdout
 
     plain = ktq_run()
-    assert plain[0] == 0 and plain[1]
+    assert plain[0] == code and bool(plain[1]) == (code == 0)
     assert ktq_run("-O") == plain

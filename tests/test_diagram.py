@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ktq import FormatError, MathError
-from ktq.chains import boundary
+from ktq.chains import Chain, boundary
 from ktq.diagram import (
     Crossing,
     Diagram,
@@ -15,6 +15,7 @@ from ktq.diagram import (
     parse_diagram,
     serialize_diagram,
 )
+from ktq.homology import NAMED_VARIANTS, HomologyClassChecker
 
 from conftest import load_correspondence, load_diagram
 
@@ -154,12 +155,16 @@ def test_associated_chain_rejects_invalid_coloring(z3linear):
 
 
 def test_associated_chain_rejects_non_cycles(z3linear):
-    # a lone crossing does not close up: its chain (0, 0, 1) has a boundary
+    # a lone crossing does not close up: its chain (0, 0, 1) has a boundary.
+    # associated_chain returns it, and the class checker refuses it.
     d = parse_diagram("diagram 4\nP 0 1 2 3\n")
     col = (0, 0, 1, z3linear.t(0, 0, 1))
     assert is_valid_coloring(d, z3linear, col)
-    with pytest.raises(MathError):
-        associated_chain(d, z3linear, col)
+    c = associated_chain(d, z3linear, col)
+    assert c == Chain.single((0, 0, 1))
+    assert boundary(z3linear, c, "full")
+    with pytest.raises(MathError, match="first chain is not a cycle"):
+        HomologyClassChecker(z3linear, NAMED_VARIANTS["N"]).equal(c, c)
 
 
 def test_associated_chain_signs(z3linear):

@@ -1,3 +1,6 @@
+import importlib
+from collections import Counter
+
 import pytest
 
 import ktq.diagram
@@ -159,3 +162,34 @@ def test_report_searches_each_diagram_once(monkeypatch, after, before, corr, alg
     )
     assert searches == [d1, d2]
     assert rows == expected
+
+
+def test_report_builds_each_chain_once_and_checks_cycles_only_in_the_checker(
+    monkeypatch, z3linear
+):
+    # the one-pair correspondence matches each of the 27 colorings of either
+    # r3 diagram with 9 of the other's: 243 pairs from 54 associated chains
+    d1, d2 = load_diagram("r3_after.dg"), load_diagram("r3_before.dg")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        ktq.invariants, "associated_chain", counted("associated_chain", associated_chain)
+    )
+    monkeypatch.setattr(
+        HomologyClassChecker, "equal", counted("equal", HomologyClassChecker.equal)
+    )
+    # the package attribute ktq.homology is the function, not the module
+    for owner in (ktq.diagram, importlib.import_module("ktq.homology")):
+        monkeypatch.setattr(owner, "boundary", counted(owner.__name__, owner.boundary))
+    rows = dict(invariant_report(
+        d1, d2, z3linear, variant=NAMED_VARIANTS["N"], correspondence=[(0, 0)]
+    ))
+    assert rows["classes.checked"] == "243"
+    # every cycle test is HomologyClassChecker.equal's, two per pair
+    assert calls == {"associated_chain": 54, "equal": 243, "ktq.homology": 2 * 243}

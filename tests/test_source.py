@@ -59,3 +59,13 @@ def test_one_function_splits_input_into_lines_and_cuts_comments():
     )
     assert splits == ["errors.read_records"]
     assert cuts == ["errors.read_records"]
+
+
+def test_invariants_read_no_crossing_data():
+    # the crossing-sign rule lives in diagram.associated_chain alone: the
+    # class checks and state sums read the chains it builds
+    reads = _functions_where(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in ("crossings", "corners", "kind")
+    )
+    assert [owner for owner in reads if owner.startswith("invariants")] == []
