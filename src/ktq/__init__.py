@@ -45,13 +45,7 @@ from .homology import (
     serialize_cocycle,
     two_cocycles,
 )
-from .intlinalg import (
-    AbelianGroup,
-    cokernel,
-    kernel_int,
-    kernel_mod,
-    smith_normal_form,
-)
+from .intlinalg import AbelianGroup, kernel_mod
 from .invariants import GroupRingElement, invariant_report, state_sum
 
 __version__ = "0.1.0"

@@ -89,7 +89,10 @@ def build_parser():
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError("%s: %s" % (path, exc)) from None
 
 
 def _load_algebra(path):
@@ -210,7 +213,7 @@ def cli_main(argv=None, out=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except (FormatError, OSError, UnicodeDecodeError) as exc:
+    except (FormatError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except MathError as exc:

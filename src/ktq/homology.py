@@ -6,16 +6,15 @@ elementary divisors (``intlinalg.elementary_divisors``, unit pivots first):
 
     H_n = Z^(dim C_n - rk d_n - rk d_{n+1}) + torsion of d_{n+1}.
 
-- plain: all tuples.
-- D (degenerate tuples): D is spanned by tuples, so the subcomplex keeps
-  the rows and columns of the degenerate tuples, and the quotient C/D those
-  of the nondegenerate ones.
-- I and ID (sums x + x[j]): the subcomplex R has the Hermite basis of the
-  relator lattice, with the differential in coordinates of that basis.  The
-  quotient C/R can have torsion in its chain groups, so it is replaced by
-  the mapping cone of R -> C, Cone_n = R_{n-1} + C_n with
+- plain: all tuples (the cone over R = 0).
+- D, I and ID (degenerate tuples, sums x + x[j], or both): the subcomplex
+  R has the Hermite basis of the relator lattice, with the differential in
+  coordinates of that basis; for D that basis is the degenerate tuples.
+  The quotient C/R can have torsion in its chain groups, so it is replaced
+  by the mapping cone of R -> C, Cone_n = R_{n-1} + C_n with
   d(r, c) = (-d r, r + d c): a free complex quasi-isomorphic to C/R
-  (Weibel, An introduction to homological algebra, 1.5).
+  (Weibel, An introduction to homological algebra, 1.5).  Every lattice
+  stays in sparse columns from the generators to intlinalg.
 
 HomologyClassChecker and two_cocycles read one degree-1 relation lattice,
 im d_2 + R_1: d_2 of the cone, whose rows are the triples since R_0 = 0,
@@ -28,15 +27,13 @@ a subcomplex, raise MathError.  All arithmetic is exact.
 from dataclasses import dataclass
 from functools import lru_cache
 from .chains import (
-    Chain,
     all_tuples,
     boundary,
     boundary_tuple,
-    is_d_degenerate,
     relator_generators,
 )
 from .errors import FormatError, MathError, integers, read_records
-from .intlinalg import AbelianGroup, LatticeSolver, elementary_divisors
+from .intlinalg import AbelianGroup, LatticeSolver, dense_matrix, elementary_divisors
 
 # Unused here, but looked up in this module by name: perfbench/tracing.py
 # wraps them where they are bound.
@@ -84,29 +81,39 @@ def chain_vector(c, index):
     return vec
 
 
+def _chain_columns(chains, order, n):
+    """Chains of degree n as sparse columns {row: coeff}, rows indexed by
+    the degree-n basis."""
+    index = {t: i for i, t in enumerate(chain_basis(order, n))}
+    return [{index[t]: c for t, c in chain.terms.items()} for chain in chains]
+
+
 def boundary_columns(X, n, kind="full"):
     """The degree-n differential as sparse columns {row: coeff}, one per
     degree-n tuple, rows indexed by the degree n-1 basis."""
-    index = {t: i for i, t in enumerate(chain_basis(X.order, n - 1))}
-    return [
-        {index[t]: c for t, c in boundary_tuple(X, tup, kind).terms.items()}
-        for tup in chain_basis(X.order, n)
-    ]
+    chains = (boundary_tuple(X, tup, kind) for tup in chain_basis(X.order, n))
+    return _chain_columns(chains, X.order, n - 1)
 
 
 def boundary_matrix(X, n, kind="full"):
     """Matrix of the degree-n differential: rows indexed by the degree n-1
     basis, columns by the degree-n basis.  Nothing in ktq calls it; tests
     and perfbench/tracing.py use it."""
-    return _dense(boundary_columns(X, n, kind), X.order ** (n + 1))
+    return dense_matrix(boundary_columns(X, n, kind), X.order ** (n + 1))
+
+
+def _relator_columns(X, n, relators):
+    """Relator generators of degree n as sparse columns {row: coeff}."""
+    if relators == "none" or n < 1:
+        return []
+    return _chain_columns(relator_generators(X, n, relators), X.order, n)
 
 
 def relator_columns(X, n, relators):
-    """Relator generators of degree n as column vectors (list of columns)."""
-    if relators == "none" or n < 1:
-        return []
-    index = {t: i for i, t in enumerate(chain_basis(X.order, n))}
-    return [chain_vector(g, index) for g in relator_generators(X, n, relators)]
+    """Relator generators of degree n as column vectors (list of columns):
+    the dense view of _relator_columns."""
+    rows = range(X.order ** (n + 2))
+    return [[col.get(i, 0) for i in rows] for col in _relator_columns(X, n, relators)]
 
 
 def default_degree_cap(order):
@@ -114,46 +121,9 @@ def default_degree_cap(order):
     return 4 if order <= 3 else 3
 
 
-def _dense(cols, nrows):
-    """Sparse columns {row: coeff} as a dense list of rows."""
-    M = [[0] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            M[i][j] = c
-    return M
-
-
-_LEAVES = "differential leaves the relator subcomplex"
-
-
-def _tuple_differential(X, m, kind, part):
-    """d_m of the free complex of all tuples (part None), of the degenerate
-    subcomplex D (part True) or of the quotient C/D, whose basis is the
-    nondegenerate tuples (part False): (columns, number of rows)."""
-    cols = boundary_columns(X, m, kind)
-    if part is None:
-        return cols, X.order ** (m + 1)
-    here = [is_d_degenerate(X, t)[0] for t in chain_basis(X.order, m)]
-    below = [is_d_degenerate(X, t)[0] for t in chain_basis(X.order, m - 1)]
-    for col, degenerate in zip(cols, here):
-        if degenerate and not all(below[i] for i in col):
-            raise MathError(_LEAVES)
-    rows = {}
-    for i, degenerate in enumerate(below):
-        if degenerate == part:
-            rows[i] = len(rows)
-    kept = [
-        {rows[i]: c for i, c in col.items() if i in rows}
-        for col, degenerate in zip(cols, here)
-        if degenerate == part
-    ]
-    return kept, len(rows)
-
-
 class _RelatorLattices:
-    """The subcomplex R spanned by a relator set (I or ID; any set works),
-    in the Hermite bases of its chain groups, and the mapping cone of
-    R -> C."""
+    """The subcomplex R spanned by a relator set (none, D, I or ID), in the
+    Hermite bases of its chain groups, and the mapping cone of R -> C."""
 
     def __init__(self, X, relators, kind):
         self.X, self.relators, self.kind = X, relators, kind
@@ -166,46 +136,34 @@ class _RelatorLattices:
         return self._boundary[m]
 
     def lattice(self, m):
-        """A LatticeSolver over the degree-m relators, or None for R_m = 0."""
+        """A LatticeSolver over the degree-m relators."""
         if m not in self._lattice:
-            cols = relator_columns(self.X, m, self.relators)
-            self._lattice[m] = LatticeSolver(list(zip(*cols)), len(cols)) if cols else None
+            cols = _relator_columns(self.X, m, self.relators)
+            self._lattice[m] = LatticeSolver.from_columns(cols, self.X.order ** (m + 2))
         return self._lattice[m]
-
-    def rank(self, m):
-        lat = self.lattice(m)
-        return len(lat.basis) if lat else 0
 
     def sub(self, m):
         """d_m of R: the boundary of each Hermite basis vector of R_m, in
         coordinates of the Hermite basis of R_{m-1}."""
         lat, below = self.lattice(m), self.lattice(m - 1)
-        if lat is None:
-            return [], self.rank(m - 1)
-        d = self.boundary(m)
+        d = self.boundary(m) if lat.basis else ()
         cols = []
         for p in lat.basis:
-            w = [0] * self.X.order ** (m + 1)
+            w = {}
             for j, a in p.items():
                 for i, c in d[j].items():
-                    w[i] += a * c
-            if below is None:
-                if any(w):
-                    raise MathError(_LEAVES)
-                coords = []
-            else:
-                coords = below.coordinates(w)
-                if coords is None:
-                    raise MathError(_LEAVES)
-            cols.append({a: q for a, q in enumerate(coords) if q})
-        return cols, self.rank(m - 1)
+                    w[i] = w.get(i, 0) + a * c
+            coords = below.coordinates(w)
+            if coords is None:
+                raise MathError("differential leaves the relator subcomplex")
+            cols.append(coords)
+        return cols, len(below.basis)
 
     def cone(self, m):
         """d_m of the cone: R_{m-1} + C_m -> R_{m-2} + C_{m-1}."""
         below, r = self.sub(m - 1)
-        lat = self.lattice(m - 1)
         cols = []
-        for p, col in zip(lat.basis if lat else (), below):
+        for p, col in zip(self.lattice(m - 1).basis, below):
             c = {a: -q for a, q in col.items()}
             for k, x in p.items():
                 c[r + k] = x
@@ -264,16 +222,9 @@ def homology(X, n, v=HomologyVariant(), degree_cap=None):
             "degree %d exceeds the materialization cap %d for order %d"
             % (n, cap, X.order)
         )
-    kind = v.diff_kind
-    # D keeps the row/column restriction: sending it through the dense
-    # relator lattice of _RelatorLattices took z5affine H2 D-sub from 0.12 s
-    # to 1.5 s and the process from 26 MB to 131 MB (2-core Xeon VM,
-    # Python 3.11).
-    if v.relators in ("none", "D"):
-        part = None if v.relators == "none" else v.mode == "subcomplex"
-        return _free_homology(lambda m: _tuple_differential(X, m, kind, part), n)
-    lattices = _RelatorLattices(X, v.relators, kind)
-    return _free_homology(lattices.cone if v.mode == "quotient" else lattices.sub, n)
+    lattices = _RelatorLattices(X, v.relators, v.diff_kind)
+    sub = v.mode == "subcomplex" and v.relators != "none"
+    return _free_homology(lattices.sub if sub else lattices.cone, n)
 
 
 @lru_cache(maxsize=1)
@@ -361,8 +312,7 @@ class HomologyClassChecker:
         self.X = X
         self.v = v
         self.index = {t: i for i, t in enumerate(chain_basis(X.order, 1))}
-        cols = _degree1_relations(X, v)
-        self.solver = LatticeSolver(_dense(cols, len(self.index)), len(cols))
+        self.solver = LatticeSolver.from_columns(_degree1_relations(X, v), len(self.index))
 
     def _check_cycle(self, c, name):
         if c.degree != 1:
@@ -373,7 +323,9 @@ class HomologyClassChecker:
     def equal(self, c1, c2):
         self._check_cycle(c1, "first")
         self._check_cycle(c2, "second")
-        return self.solver.contains(chain_vector(c1 - c2, self.index))
+        diff = c1 - c2
+        residue = {self.index[t]: a for t, a in diff.terms.items()}
+        return self.solver.coordinates(residue) is not None
 
 
 def parse_cocycle(text):

@@ -2,10 +2,14 @@
 elementary divisors of sparse matrices, lattice membership and kernels
 (integral and modulo m).
 
-Dense matrices are plain lists of row lists of Python ints.  A matrix may
-have zero rows; pass ncols explicitly whenever the column count cannot be
-read off the data.  Sparse matrices are lists of columns, each a dict
-{row: nonzero coefficient}.
+Sparse matrices, lists of columns each a dict {row: nonzero coefficient},
+are the working format: one routine, _hermite, computes every Hermite form
+on them, and elementary_divisors eliminates unit pivots on them before a
+dense Smith form of the residual block.  Dense matrices, plain lists of row
+lists of Python ints, appear only at the adapters: column_hnf,
+lattice_basis, kernel_int, LatticeSolver(M, ncols), kernel_mod, and the
+Smith forms.  A dense matrix may have zero rows; pass ncols explicitly
+whenever the column count cannot be read off the data.
 """
 
 from dataclasses import dataclass
@@ -163,6 +167,94 @@ def snf_diagonal(M, ncols=None):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
+def _axpy(v, q, h):
+    """v += q*h for sparse vectors {index: coeff} and q != 0, keeping no
+    zeros."""
+    for k, x in h.items():
+        y = v.get(k, 0) + q * x
+        if y:
+            v[k] = y
+        else:
+            del v[k]
+
+
+def _hermite(columns, transform=False):
+    """Column Hermite form of the lattice spanned by sparse columns
+    {row: coeff}.
+
+    Each column is inserted in turn: while its first row holds a pivot,
+    Euclid's algorithm on that row (with swaps) leaves one of the two
+    columns zero there, and that one goes on.  Then every pivot is made
+    positive, and in each pivot row, in increasing order, the earlier
+    columns that touch it (a row -> columns index) are reduced to
+    [0, pivot).  Returns (basis, W): the Hermite basis as sparse columns
+    in increasing order of their pivot rows (each column's least row), and
+    W None or, with transform, one transform {input column: coeff} per
+    basis column followed by one per kernel vector; together they form a
+    unimodular matrix.
+    """
+    at = {}  # pivot row -> [column, its transform]
+    kernel = []
+    for j, col in enumerate(columns):
+        v, t = dict(col), ({j: 1} if transform else None)
+        while v:
+            i = min(v)
+            if i not in at:
+                at[i] = [v, t]
+                break
+            h, s = at[i]
+            while True:
+                q = v[i] // h[i]
+                if q:
+                    _axpy(v, -q, h)
+                    if transform:
+                        _axpy(t, -q, s)
+                if i not in v:
+                    break
+                v, h, t, s = h, v, s, t
+            at[i] = [h, s]
+        else:
+            if transform:
+                kernel.append(t)
+    rows = sorted(at)
+    touching = {}  # row -> pivot rows of the columns with an entry there
+    for i in rows:
+        h, s = at[i]
+        if h[i] < 0:
+            for part in (h, s) if transform else (h,):
+                for k in part:
+                    part[k] = -part[k]
+        for k in h:
+            touching.setdefault(k, set()).add(i)
+    for i in rows:
+        h, s = at[i]
+        for j in list(touching[i]):
+            g, r = at[j]
+            q = g.get(i, 0) // h[i] if j < i else 0
+            if q:
+                _axpy(g, -q, h)
+                if transform:
+                    _axpy(r, -q, s)
+                for k in h:
+                    touching[k].add(j)
+    basis = [at[i][0] for i in rows]
+    return basis, ([at[i][1] for i in rows] + kernel if transform else None)
+
+
+def _columns(M, ncols):
+    """The columns of a dense matrix as sparse columns {row: coeff}."""
+    return [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(ncols)]
+
+
+def dense_matrix(columns, nrows):
+    """Sparse columns {row: coeff} as a dense list of rows."""
+    M = [[0] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, a in col.items():
+            M[i][j] = a
+    return M
+
+
 def column_hnf(M, ncols=None, transform=False):
     """Column-style Hermite normal form of the lattice spanned by the
     columns of M.
@@ -171,139 +263,96 @@ def column_hnf(M, ncols=None, transform=False):
     transform is False), and pivots a list of (row, col) positions with
     strictly increasing rows, positive pivot entries, and entries of earlier
     columns reduced to [0, pivot) in each pivot row.  Columns after the last
-    pivot are zero.
+    pivot are zero.  A dense view of _hermite.
     """
     m, n = _shape(M, ncols)
-    H = [list(row) for row in M]
-    W = _identity(n) if transform else None
-
-    def swap_cols(a, b):
-        for row in H:
-            row[a], row[b] = row[b], row[a]
-        if W is not None:
-            for row in W:
-                row[a], row[b] = row[b], row[a]
-
-    def col_sub(a, b, q):
-        for row in H:
-            row[a] -= q * row[b]
-        if W is not None:
-            for row in W:
-                row[a] -= q * row[b]
-
-    def negate_col(a):
-        for row in H:
-            row[a] = -row[a]
-        if W is not None:
-            for row in W:
-                row[a] = -row[a]
-
-    pivots = []
-    c = 0
-    for i in range(m):
-        if c == n:
-            break
-        found = -1
-        for j in range(c, n):
-            if H[i][j]:
-                found = j
-                break
-        if found < 0:
-            continue
-        if found != c:
-            swap_cols(c, found)
-        for j in range(c + 1, n):
-            while H[i][j]:
-                if H[i][c] == 0 or abs(H[i][j]) < abs(H[i][c]):
-                    swap_cols(c, j)
-                else:
-                    col_sub(j, c, H[i][j] // H[i][c])
-        if H[i][c] < 0:
-            negate_col(c)
-        for j in range(c):
-            q = H[i][j] // H[i][c]
-            if q:
-                col_sub(j, c, q)
-        pivots.append((i, c))
-        c += 1
-    return H, W, pivots
+    basis, W = _hermite(_columns(M, n), transform)
+    H = dense_matrix(basis + [{}] * (n - len(basis)), m)
+    pivots = [(min(col), c) for c, col in enumerate(basis)]
+    return H, (dense_matrix(W, n) if transform else None), pivots
 
 
 def lattice_basis(M, ncols=None):
     """A canonical basis (list of column vectors) of the column lattice."""
     H, _, pivots = column_hnf(M, ncols)
-    m = len(M)
-    return [[H[i][c] for i in range(m)] for _, c in pivots]
+    return [[row[c] for row in H] for _, c in pivots]
 
 
 class LatticeSolver:
     """Reusable exact solver for M*c = v against a fixed column lattice.
 
-    The Hermite form is computed once.  Membership and coordinates over the
-    Hermite basis need only its forward residue pass; the unimodular
-    transform back to coefficients of the columns of M is computed on the
-    first solve() that finds a solution.
+    The Hermite basis is computed once.  Membership and coordinates over it
+    need only its forward residue pass; the unimodular transform back to
+    coefficients of the columns of M is computed on the first solve() that
+    finds a solution.  LatticeSolver(M, ncols) takes a dense matrix,
+    from_columns sparse columns.
     """
 
     def __init__(self, M, ncols=None):
-        self.nrows, self.ncols = _shape(M, ncols)
-        self._columns = [
-            {i: M[i][j] for i in range(self.nrows) if M[i][j]} for j in range(self.ncols)
-        ]
-        H, _, self.pivots = column_hnf(M, ncols)
+        nrows, ncols = _shape(M, ncols)
+        self._build(_columns(M, ncols), nrows)
+
+    @classmethod
+    def from_columns(cls, columns, nrows):
+        """The solver for the lattice of sparse columns {row: coeff}."""
+        solver = cls.__new__(cls)
+        solver._build(columns, nrows)
+        return solver
+
+    def _build(self, columns, nrows):
+        self.nrows, self.ncols = nrows, len(columns)
+        self._columns = columns
         #: the Hermite basis of the lattice as sparse columns, one per pivot
-        self.basis = [
-            {k: H[k][c] for k in range(i, self.nrows) if H[k][c]} for i, c in self.pivots
-        ]
+        self.basis, _ = _hermite(columns)
+        self._pivot = {min(col): k for k, col in enumerate(self.basis)}
         self._W = None
 
-    def coordinates(self, v):
-        """Integer coefficients of v over the Hermite basis, or None when v
-        is not in the lattice."""
+    def coordinates(self, residue):
+        """Integer coefficients {basis index: q} of a sparse vector
+        {row: coeff} over the Hermite basis, or None when it is not in the
+        lattice."""
+        res = {i: a for i, a in residue.items() if a}
+        y = {}
+        while res:
+            i = min(res)
+            k = self._pivot.get(i)
+            if k is None:
+                return None
+            col = self.basis[k]
+            q, r = divmod(res[i], col[i])
+            if r:
+                return None
+            y[k] = q
+            _axpy(res, -q, col)
+        return y
+
+    def _sparse(self, v):
         if len(v) != self.nrows:
             raise ValueError("dimension mismatch")
-        res = list(v)
-        y = []
-        for (i, _), col in zip(self.pivots, self.basis):
-            p = col[i]
-            if res[i] % p:
-                return None
-            q = res[i] // p
-            y.append(q)
-            if q:
-                for k, h in col.items():
-                    res[k] -= q * h
-        if any(res):
-            return None
-        return y
+        return {i: a for i, a in enumerate(v) if a}
 
     def solve(self, v):
         """An integer coefficient vector c with M*c = v, or None."""
-        y = self.coordinates(v)
+        y = self.coordinates(self._sparse(v))
         if y is None:
             return None
         if self._W is None:
-            M = [[0] * self.ncols for _ in range(self.nrows)]
-            for j, col in enumerate(self._columns):
-                for i, a in col.items():
-                    M[i][j] = a
-            _, self._W, _ = column_hnf(M, self.ncols, transform=True)
-        W = self._W
-        return [
-            sum(W[row][c] * q for (_, c), q in zip(self.pivots, y))
-            for row in range(self.ncols)
-        ]
+            _, self._W = _hermite(self._columns, transform=True)
+        c = [0] * self.ncols
+        for k, q in y.items():
+            for j, a in self._W[k].items():
+                c[j] += q * a
+        return c
 
     def contains(self, v):
-        return self.coordinates(v) is not None
+        return self.coordinates(self._sparse(v)) is not None
 
 
 def kernel_int(M, ncols=None):
     """A basis of the integer kernel {x : M*x = 0} (list of vectors)."""
     _, n = _shape(M, ncols)
-    _, W, pivots = column_hnf(M, ncols, transform=True)
-    r = len(pivots)
-    return [[W[row][j] for row in range(n)] for j in range(r, n)]
+    basis, W = _hermite(_columns(M, n), transform=True)
+    return [[t.get(j, 0) for j in range(n)] for t in W[len(basis):]]
 
 
 def kernel_mod(M, modulus, ncols=None):
@@ -321,8 +370,7 @@ def kernel_mod(M, modulus, ncols=None):
     if modulus < 2:
         raise MathError("modulus must be >= 2")
     m, n = _shape(M, ncols)
-    columns = [{i: M[i][j] for i in range(m) if M[i][j]} for j in range(n)]
-    pivots, cols = _eliminate_units(columns, m)
+    pivots, cols = _eliminate_units(_columns(M, n), m)
     eliminated = {j for j, _, _ in pivots}
     free = [j for j in range(n) if j not in eliminated]
     R = _dense_block(cols, free)

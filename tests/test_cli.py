@@ -139,7 +139,7 @@ def test_format_errors_exit_2(tmp_path, capsys):
     latin1 = tmp_path / "latin1.ktq"
     latin1.write_bytes(b"ktq 1\n\xff\n")  # not UTF-8
     assert run("verify", str(latin1)) == (2, "")
-    assert capsys.readouterr().err.startswith("input error: 'utf-8' codec can't decode")
+    assert capsys.readouterr().err.startswith("input error: %s: 'utf-8' codec can't decode" % latin1)
 
 
 def test_math_errors_exit_3(tmp_path, capsys):

@@ -17,6 +17,8 @@ from ktq.intlinalg import (
     snf_diagonal,
 )
 
+import hnf_oracle
+
 
 def det(M):
     """Exact determinant via fraction-free elimination (test oracle)."""
@@ -138,8 +140,8 @@ def test_lattice_solver_coordinates_and_lazy_transform():
     s = LatticeSolver(M, 3)
     # membership and coordinates never need the transform
     assert s.contains([4, 6]) and not s.contains([1, 0])
-    y = s.coordinates([4, 6])
-    assert [sum(q * col.get(k, 0) for q, col in zip(y, s.basis)) for k in range(2)] == [4, 6]
+    y = s.coordinates({0: 4, 1: 6})
+    assert [sum(q * s.basis[a].get(k, 0) for a, q in y.items()) for k in range(2)] == [4, 6]
     assert s._W is None
     c = s.solve([4, 6])
     assert s._W is not None
@@ -148,6 +150,43 @@ def test_lattice_solver_coordinates_and_lazy_transform():
 
 def sparse_columns(M, ncols):
     return [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(ncols)]
+
+
+@st.composite
+def lattice_queries(draw):
+    """A sparse integer matrix of at most 8 x 8, mostly 0 and +-1 with some
+    +-2 and +-3, and a query vector: a small combination of its columns,
+    perturbed in some draws."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    entry = st.sampled_from((0,) * 8 + (1, -1) * 3 + (2, -2, 3, -3))
+    M = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    x = draw(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols))
+    e = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=rows, max_size=rows))
+    v = [sum(a * b for a, b in zip(row, x)) + d for row, d in zip(M, e)]
+    return M, cols, v
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(query=lattice_queries())
+def test_sparse_hermite_form_matches_the_dense_oracle(query):
+    M, cols, v = query
+    H0, _, pivots0 = hnf_oracle.column_hnf(M, cols)
+    H, W, pivots = column_hnf(M, cols, transform=True)
+    assert (H, pivots) == (H0, pivots0)
+    assert column_hnf(M, cols) == (H, None, pivots)
+    assert matmul(M, W) == H
+    assert abs(det(W)) == 1
+    solver = LatticeSolver(M, cols)
+    assert LatticeSolver.from_columns(sparse_columns(M, cols), len(M)).basis == solver.basis
+    oracle = hnf_oracle.DenseLatticeSolver(M, cols)
+    y0 = oracle.coordinates(v)
+    y = solver.coordinates({i: a for i, a in enumerate(v) if a})
+    assert y == (None if y0 is None else {k: q for k, q in enumerate(y0) if q})
+    assert solver.contains(v) == (y0 is not None)
+    for c in (solver.solve(v), oracle.solve(v)):
+        assert (c is None) == (y0 is None)
+        if c is not None:
+            assert [sum(a * b for a, b in zip(row, c)) for row in M] == v
 
 
 def test_elementary_divisors_match_dense_snf():

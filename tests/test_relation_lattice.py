@@ -15,14 +15,13 @@ from ktq.homology import (
     HomologyClassChecker,
     HomologyVariant,
     _degree1_relations,
-    _dense,
     boundary_matrix,
     homology,
     relator_columns,
     two_cocycles,
 )
 from ktq.cli import cli_main
-from ktq.intlinalg import lattice_basis
+from ktq.intlinalg import dense_matrix, lattice_basis
 
 from conftest import fixture_path, load_algebra
 
@@ -50,7 +49,7 @@ def test_relations_span_the_dense_assembly(name):
     X = load_algebra(name + ".ktq")
     for v in quotient_variants(X):
         cols = _degree1_relations(X, v)
-        got = lattice_basis(_dense(cols, X.order ** 3), len(cols))
+        got = lattice_basis(dense_matrix(cols, X.order ** 3), len(cols))
         assert got == lattice_basis(dense_assembly(X, v)), v
 
 
