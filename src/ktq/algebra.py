@@ -273,15 +273,57 @@ def hat(t):
     return OpTable.from_function(t.order, lambda x, y, z: t(z, y, x))
 
 
+@lru_cache(maxsize=8)
+def _relabelings(n):
+    """(perm, src) for every permutation of range(n), identity first, where
+    the relabeled table's entry at index p is perm[values[src[p]]]."""
+    out = []
+    for perm in permutations(range(n)):
+        inv = [0] * n
+        for i, p in enumerate(perm):
+            inv[p] = i
+        src = tuple(
+            (inv[i] * n + inv[j]) * n + inv[k] for i, j, k in product(range(n), repeat=3)
+        )
+        out.append((perm, src))
+    return tuple(out)
+
+
+def _evaluate_relabeling(v, n, perm, src):
+    """The lex-leader test of one relabeling on the flat table v of order
+    n, where None marks an unfilled entry: FAILS when the relabeled table
+    is already smaller than v on the entries the filled ones determine
+    (then no completion of v is the least of its orbit), HOLDS when it is
+    already larger, or equal on a full table, and otherwise the index of
+    the first unfilled entry the comparison reads.  The relabeled entry at
+    p is perm[v[src[p]]]; n is unused and keeps the signature of
+    _evaluate."""
+    for p, s in enumerate(src):
+        x = v[s]
+        if x is None:
+            return s
+        y = v[p]
+        if y is None:
+            return p
+        e = perm[x]
+        if e < y:
+            return FAILS
+        if e > y:
+            return HOLDS
+    return HOLDS
+
+
 def _wake(v, n, watch, pos):
     """Re-evaluate the instances waiting on the just-filled entry pos.
 
-    An undecided instance moves to the watch list of the next unfilled entry
-    it reads.  Returns those entries, or None (with the moves taken back)
+    An instance is (evaluate, a, b), evaluated as evaluate(v, n, a, b).  An
+    undecided one moves to the watch list of the next unfilled entry it
+    reads.  Returns those entries, or None (with the moves taken back)
     when an instance fails."""
     moved = []
     for check in watch[pos]:
-        r = _evaluate(v, n, *check)
+        evaluate, a, b = check
+        r = evaluate(v, n, a, b)
         if r >= 0:
             watch[r].append(check)
             moved.append(r)
@@ -292,22 +334,31 @@ def _wake(v, n, watch, pos):
     return moved
 
 
-def _checked_latin_tables(n, axioms):
+def _checked_latin_tables(n, axioms, dedup):
     """Value tuples of every order-n table whose three slot maps are
     bijections and on which every instance of the given axioms holds, in
-    lexicographic order.
+    lexicographic order; with dedup, only the least table of each
+    relabeling orbit.
 
     Entries are filled in index order with ascending values (an explicit
     stack, no recursion).  Each axiom instance waits on the first unfilled
     entry it reads, so a violated instance prunes the branch as soon as the
-    entries it reads are filled (forward checking).
+    entries it reads are filled (forward checking).  With dedup, each
+    non-identity relabeling is one more instance, its lex-leader test
+    (Crawford, Ginsberg, Luks & Roy, KR 1996): a prefix that some
+    relabeling already makes smaller is pruned, which drops no least
+    table, and on a full table the test is exact.
     """
     total = n ** 3
     v = [None] * total
     watch = [[] for _ in range(total)]
-    for axiom in axioms:
-        for args in product(range(n), repeat=axiom.arity):
-            watch[_evaluate(v, n, axiom, args)].append((axiom, args))
+    checks = [(_evaluate, axiom, args)
+              for axiom in axioms for args in product(range(n), repeat=axiom.arity)]
+    if dedup:
+        checks += [(_evaluate_relabeling, perm, src) for perm, src in _relabelings(n)[1:]]
+    for check in checks:
+        evaluate, a, b = check
+        watch[evaluate(v, n, a, b)].append(check)
     # bitmasks of the values used on each line, by the slot that varies
     used_i, used_j, used_k = [0] * (n * n), [0] * (n * n), [0] * (n * n)
     lines = [(j * n + k, i * n + k, i * n + j) for i, j, k in product(range(n), repeat=3)]
@@ -355,22 +406,6 @@ def _checked_latin_tables(n, axioms):
                 x = release(pos) + 1
 
 
-@lru_cache(maxsize=8)
-def _relabelings(n):
-    """(perm, src) for every permutation of range(n), identity first, where
-    the relabeled table's entry at index p is perm[values[src[p]]]."""
-    out = []
-    for perm in permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        src = tuple(
-            (inv[i] * n + inv[j]) * n + inv[k] for i, j, k in product(range(n), repeat=3)
-        )
-        out.append((perm, src))
-    return tuple(out)
-
-
 def canonical_form(t):
     """Lexicographically least value tuple over simultaneous relabelings.
 
@@ -399,9 +434,13 @@ def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
     T = M).  The axioms are checked inside the Latin search, each instance
     as soon as the entries it reads are filled.  With dedup=True only the
     lexicographically minimal representative of each relabeling orbit is
-    emitted.  Orders above max_order are rejected; pass a larger max_order
-    explicitly to override: order 5 takes about ten seconds with the 'iktq'
-    filter and about 25 minutes with 'ktq'.
+    emitted: the search prunes every prefix that a relabeling makes
+    smaller, and canonical_form confirms each table it reaches.  Orders
+    above max_order are rejected; pass a larger max_order explicitly to
+    override.  On a 2-core Xeon VM with Python 3.11, order 5 with dedup
+    takes about 13 s with the 'ktq' filter and under a second with
+    'iktq'; without dedup the search prunes only on the axioms and takes
+    about 10 s with 'iktq' and about 25 minutes with 'ktq'.
     """
     if filt not in FILTER_AXIOMS:
         raise ValueError("unknown filter %r" % (filt,))
@@ -413,7 +452,7 @@ def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
             % (n, max_order)
         )
     out = []
-    for values in _checked_latin_tables(n, FILTER_AXIOMS[filt]):
+    for values in _checked_latin_tables(n, FILTER_AXIOMS[filt], dedup):
         t = OpTable(n, values)
         if dedup and canonical_form(t) != values:
             continue

@@ -121,6 +121,12 @@ def default_degree_cap(order):
     return 4 if order <= 3 else 3
 
 
+#: The most generators homology(X, n) may materialize, |X|**(n+2) in C_n
+#: plus |X|**(n+3) in C_{n+1}, whatever the degree cap.  z5 H_2 needs
+#: 3,750; z5 H_3, which needs 18,750, is refused.
+MAX_GENERATORS = 10000
+
+
 class _RelatorLattices:
     """The subcomplex R spanned by a relator set (none, D, I or ID), in the
     Hermite bases of its chain groups, and the mapping cone of R -> C."""
@@ -211,7 +217,8 @@ def homology(X, n, v=HomologyVariant(), degree_cap=None):
 
     Quotient mode computes the homology of C/R, subcomplex mode of R itself;
     with relators 'none' both give the plain homology.  Degrees above the
-    materialization cap are rejected unless degree_cap overrides it.
+    materialization cap are rejected unless degree_cap overrides it, and
+    so, always, is a degree needing more than MAX_GENERATORS generators.
     """
     if n < -1:
         raise MathError("homology is computed for degrees >= -1")
@@ -221,6 +228,13 @@ def homology(X, n, v=HomologyVariant(), degree_cap=None):
         raise MathError(
             "degree %d exceeds the materialization cap %d for order %d"
             % (n, cap, X.order)
+        )
+    # |X|**(n+2) + |X|**(n+3); the exponent is capped, since 2**64 already
+    # exceeds the limit, so that an absurd degree costs nothing
+    if X.order ** min(n + 2, 64) * (1 + X.order) > MAX_GENERATORS:
+        raise MathError(
+            "degree %d over order %d needs %d^%d + %d^%d generators, more than %d"
+            % (n, X.order, X.order, n + 2, X.order, n + 3, MAX_GENERATORS)
         )
     lattices = _RelatorLattices(X, v.relators, v.diff_kind)
     sub = v.mode == "subcomplex" and v.relators != "none"

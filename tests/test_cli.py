@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -243,6 +244,16 @@ def test_output_is_byte_stable():
             fixture_path("kink.dg"), fixture_path("unknot0.dg"),
             "--correspondence", fixture_path("kink_unknot.corr"), "--mod", "3")
     assert a == b and a[0] == 0
+
+
+def test_oversized_homology_is_refused_before_it_allocates(capsys):
+    start = time.perf_counter()
+    code, out = run(
+        "homology", fixture_path("z3linear.ktq"), "--degree", "9", "--degree-cap", "20"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "needs 3^11 + 3^12 generators" in capsys.readouterr().err
 
 
 def test_homology_of_a_non_ktq_exits_3(capsys):

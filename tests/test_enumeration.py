@@ -1,6 +1,7 @@
 """The forward-checked enumeration against the brute-force oracle in
-tests/enumeration_oracle.py, the order-4 results frozen, and the
-axiom evaluator and canonical form against literal definitions."""
+tests/enumeration_oracle.py, the order-4 and order-5 results frozen, and
+the axiom evaluator, the lex-leader test and the canonical form against
+literal definitions."""
 
 import hashlib
 import io
@@ -15,7 +16,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import enumeration_oracle as oracle
-from ktq.algebra import OpTable, affine_table, canonical_form, check_a3, enumerate_ktqs
+from ktq.algebra import (
+    FAILS,
+    FILTER_AXIOMS,
+    HOLDS,
+    OpTable,
+    _checked_latin_tables,
+    _evaluate_relabeling,
+    _relabelings,
+    affine_table,
+    canonical_form,
+    check_a3,
+    classify,
+    enumerate_ktqs,
+)
 from ktq.cli import cli_main
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -37,8 +51,10 @@ def run_cli(*argv):
 @pytest.mark.parametrize("filt", FILTERS)
 @pytest.mark.parametrize("dedup", [False, True])
 def test_enumeration_matches_the_brute_force_oracle(n, filt, dedup):
-    got = [t.values for t in enumerate_ktqs(n, filt, dedup)]
-    assert got == [t.values for t in oracle.enumerate_ktqs(n, filt, dedup)]
+    expect = [t.values for t in oracle.enumerate_ktqs(n, filt, dedup)]
+    assert [t.values for t in enumerate_ktqs(n, filt, dedup)] == expect
+    # the search alone: with dedup, lex-leader pruning leaves only least tables
+    assert list(_checked_latin_tables(n, FILTER_AXIOMS[filt], dedup)) == expect
 
 
 @pytest.mark.parametrize("filt, dedup, count", [
@@ -52,6 +68,34 @@ def test_order4_counts(filt, dedup, count):
     tables = order4(filt, dedup)
     assert len(tables) == count
     assert tables == sorted(set(tables))
+    if dedup:  # the search alone, before enumerate_ktqs asks canonical_form
+        assert list(_checked_latin_tables(4, FILTER_AXIOMS[filt], True)) == tables
+
+
+def test_order4_latin_dedup_digest():
+    # the 2,589 least Latin tables of order 4, frozen before lex-leader pruning
+    digest = hashlib.sha256(repr(order4("all_quasigroups", True)).encode()).hexdigest()
+    assert digest == "1dfda2f6be0a524bba0f3a8f15889b8edec721119325c9180dc64c626ed61209"
+
+
+def test_order5_iktq_dedup_output_digest():
+    # the 5 IKTQs of order 5 up to relabeling, frozen before lex-leader pruning
+    code, out = run_cli("enumerate", "--order", "5", "--max-order", "5", "--filter", "iktq", "--dedup")
+    assert code == 0 and out.endswith("# count 5\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "031798c133949842a29d8f2c77d7da40689876a80e2f4ea7519af43c1d525c7f"
+    )
+
+
+def test_order5_iktq_dedup_holds_exactly_the_affine_iktqs_over_z5():
+    # as over Z4, T = ax + by + cz is a KTQ iff b = -ac, an IKTQ iff also b = -1
+    units = list(product(range(1, 5), repeat=3))
+    tables = {u: affine_table(5, *u) for u in units}
+    iktq = [u for u in units if classify(tables[u]).is_iktq]
+    assert iktq == [(a, 4, c) for a, c in product(range(1, 5), repeat=2) if a * c % 5 == 1]
+    forms = {u: canonical_form(tables[u]) for u in units}
+    found = {t.values for t in enumerate_ktqs(5, "iktq", True, max_order=5)}
+    assert {forms[u] for u in iktq} == found & set(forms.values())
 
 
 # the sha256 of the output of the benchmark's enumerate jobs
@@ -102,6 +146,26 @@ def tables(draw):
 @given(t=tables())
 def test_canonical_form_is_the_least_relabeling(t):
     assert canonical_form(t) == oracle.canonical_form(t)
+
+
+def refused(values, n, k):
+    """Whether a non-identity relabeling refuses the first k entries of a
+    table of order n, the others unfilled."""
+    v = list(values[:k]) + [None] * (n ** 3 - k)
+    outcomes = [_evaluate_relabeling(v, n, perm, src) for perm, src in _relabelings(n)[1:]]
+    for r in outcomes:  # decided, or waiting on an unfilled entry
+        assert r in (HOLDS, FAILS) or k <= r < n ** 3
+    return FAILS in outcomes
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(t=tables())
+def test_lex_leader_test_refuses_only_prefixes_of_non_least_tables(t):
+    smaller = oracle.canonical_form(t) < t.values
+    for k in range(len(t.values)):
+        assert smaller or not refused(t.values, t.order, k), k
+    # exact on the full table
+    assert refused(t.values, t.order, len(t.values)) == smaller
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
