@@ -4,10 +4,11 @@ Corner roles are data, not geometry: a classical or flat crossing line
 names four regions (a, b, c, d) and imposes the single relation
 d = T(a, b, c); a marker names (p, q, p', q') and identifies the regions
 of the two opposite pairs, which must therefore share colors.  The
-coloring search merges those regions into classes and backtracks
-iteratively, with an explicit stack, so diagram depth is not bounded by
-the recursion limit.  Encoders of new diagrams must pick roles matching
-the usual pictorial conventions; the shipped fixtures document theirs.
+coloring search merges those regions into classes, plans its propagation
+once and runs the plan with an explicit stack, so diagram depth is not
+bounded by the recursion limit.  Encoders of new diagrams must pick roles
+matching the usual pictorial conventions; the shipped fixtures document
+theirs.
 """
 
 from dataclasses import dataclass
@@ -109,19 +110,20 @@ def is_valid_coloring(d, X, col):
     return True
 
 
-def colorings(d, X):
-    """All valid colorings, as assignment tuples in lexicographic order.
+#: The most leaves a coloring search may visit, |X|**seeds.  The tests need
+#: at most 5^6, the benchmark diagrams 5^4 and 3^6.
+MAX_LEAVES = 10 ** 6
 
-    Markers only identify regions, so they are folded first into classes
-    of regions that share a color.  The search then backtracks, with an
-    explicit stack, over the class of the first uncolored region, trying
-    colors in increasing order.  Coloring a class re-examines the crossings
-    on its watch list: a crossing whose only uncolored class fills a single
-    corner has that color forced through T or the matching division table,
-    and a fully colored crossing must satisfy T.
-    """
-    _check_algebra(d, X)
-    n, order = d.num_regions, X.order
+
+def _search_plan(d, tables):
+    """The class of each region, and the coloring search as one step
+    (seed class, forced, checks) per seed.  Markers are folded first into
+    classes of regions that share a color.  The forcing rule reads only
+    which classes are colored, so it runs once, here.  The seed is the class
+    of the first uncolored region.  A crossing whose one uncolored corner is
+    the lone corner of its class forces it, as (class, table, argument
+    classes); a crossing colored otherwise is a check of T."""
+    n = d.num_regions
     root = list(range(n))
 
     def find(r):
@@ -136,56 +138,74 @@ def colorings(d, X):
             root[find(p)] = find(p2)
             root[find(q)] = find(q2)
     cls = [find(r) for r in range(n)]
+    crossings = [tuple(cls[r] for r in cr.corners) for cr in d.crossings if cr.kind != "M"]
     watch = [[] for _ in range(n)]
-    for cr in d.crossings:
-        if cr.kind != "M":
-            corners = tuple(cls[r] for r in cr.corners)
-            for k in set(corners):
-                watch[k].append(corners)
-    t = X.t
-    solve = (X.l, X.m, X.r, t)  # the missing corner 0, 1, 2 or 3
-    color = [None] * n  # per class representative
-    trail = []  # colored classes, in order; the tail is the propagation queue
+    for i, corners in enumerate(crossings):
+        for k in set(corners):
+            watch[k].append(i)
+    colored, planned, steps = [False] * n, [False] * len(crossings), []
+    for seed in cls:
+        if colored[seed]:
+            continue
+        colored[seed] = True
+        trail, forced, checks = [seed], [], []
+        for k in trail:  # the propagation queue: it grows while it is read
+            for i in watch[k]:
+                corners = crossings[i]
+                missing = [s for s in range(4) if not colored[corners[s]]]
+                if planned[i] or len(missing) > 1:
+                    continue
+                planned[i] = True
+                if not missing:
+                    checks.append(corners)
+                    continue
+                s = missing[0]
+                args = list(corners)
+                args[s] = corners[3]  # L(d,b,c), M(a,d,c), R(a,b,d) or T(a,b,c)
+                forced.append((corners[s], tables[s], *args[:3]))
+                colored[corners[s]] = True
+                trail.append(corners[s])
+        steps.append((seed, forced, checks))
+    return cls, steps
 
-    def propagate(j):
-        """Propagate from the classes trail[j:]; False on contradiction."""
-        while j < len(trail):
-            for corners in watch[trail[j]]:
-                vals = [color[k] for k in corners]
-                missing = vals.count(None)
-                if missing == 0:
-                    if t(vals[0], vals[1], vals[2]) != vals[3]:
-                        return False
-                elif missing == 1:
-                    s = vals.index(None)
-                    vals[s] = vals[3]  # L(d,b,c), M(a,d,c), R(a,b,d) or T(a,b,c)
-                    color[corners[s]] = solve[s](vals[0], vals[1], vals[2])
-                    trail.append(corners[s])
-            j += 1
-        return True
 
-    out = []
-    stack = [[0, 0, 0]]  # first uncolored region, next color, trail length
-    while stack:
-        frame = stack[-1]
-        i, v, mark = frame
-        for k in trail[mark:]:
-            color[k] = None
-        del trail[mark:]
+def colorings(d, X):
+    """All valid colorings, as assignment tuples in lexicographic order.
+
+    The search runs the steps of _search_plan.  An explicit stack tries the
+    seed values of each step in increasing order, fills the step's forced
+    classes by table lookups and checks its crossings.  Seeds are first
+    uncolored regions, so depth-first order is lexicographic order.  A
+    search of more than MAX_LEAVES leaves is refused before it starts.
+    """
+    _check_algebra(d, X)
+    order, t = X.order, X.t.values
+    cls, steps = _search_plan(d, (X.l.values, X.m.values, X.r.values, t))
+    # the exponent is capped, since 2**64 already exceeds the limit
+    if order ** min(len(steps), 64) > MAX_LEAVES:
+        raise MathError("coloring needs %d^%d search leaves, more than %d"
+                        % (order, len(steps), MAX_LEAVES))
+    color, out = [0] * len(cls), []
+    nxt = [0] * len(steps)  # the stack: the next value of each step's seed
+    level, last = 0, len(steps) - 1
+    while level >= 0:
+        v = nxt[level]
         if v == order:
-            stack.pop()
+            nxt[level], level = 0, level - 1
             continue
-        frame[1] = v + 1
-        color[cls[i]] = v
-        trail.append(cls[i])
-        if not propagate(mark):
-            continue
-        while i < n and color[cls[i]] is not None:
-            i += 1
-        if i == n:
-            out.append(tuple(color[k] for k in cls))
+        nxt[level] = v + 1
+        seed, forced, checks = steps[level]
+        color[seed] = v
+        for k, tab, a, b, c in forced:
+            color[k] = tab[(color[a] * order + color[b]) * order + color[c]]
+        for a, b, c, e in checks:
+            if t[(color[a] * order + color[b]) * order + color[c]] != color[e]:
+                break
         else:
-            stack.append([i, 0, len(trail)])
+            if level == last:
+                out.append(tuple(map(color.__getitem__, cls)))
+            else:
+                level += 1
     return out
 
 

@@ -256,6 +256,17 @@ def test_oversized_homology_is_refused_before_it_allocates(capsys):
     assert "needs 3^11 + 3^12 generators" in capsys.readouterr().err
 
 
+def test_oversized_coloring_search_is_refused_before_it_starts(tmp_path, capsys):
+    # 40 regions and no crossing: 3^40 colorings
+    dg = tmp_path / "wide.dg"
+    dg.write_text("diagram 40\n")
+    start = time.perf_counter()
+    code, out = run("color", fixture_path("z3linear.ktq"), str(dg))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "needs 3^40 search leaves" in capsys.readouterr().err
+
+
 def test_homology_of_a_non_ktq_exits_3(capsys):
     code, out = run("homology", fixture_path("z3sum.ktq"), "--degree", "1")
     assert code == 3 and out == ""
