@@ -7,10 +7,8 @@ enumeration.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Optional
 
 from .errors import FormatError, MathError, integers, read_records
 
@@ -64,45 +62,35 @@ class OpTable:
         return "OpTable(order=%d)" % self.order
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Result of a quasigroup check.
+class ValidationReport(
+    namedtuple("ValidationReport", "ok slot quad_a quad_b", defaults=(None, None, None))
+):
+    """Result of a quasigroup check: ok (bool) and, when it is false, slot
+    (int), the argument slot 0, 1 or 2 whose induced unary map fails to be a
+    bijection, and quad_a, quad_b (tuples), two quadruples (x1, x2, x3, x0)
+    differing only in that slot but sharing the same value x0; else None."""
 
-    When ``ok`` is false, ``slot`` names the argument slot (0, 1 or 2) whose
-    induced unary map fails to be a bijection, and ``quad_a``/``quad_b`` are
-    two quadruples (x1, x2, x3, x0) differing only in that slot but sharing
-    the same value x0.
-    """
-
-    ok: bool
-    slot: Optional[int] = None
-    quad_a: Optional[tuple] = None
-    quad_b: Optional[tuple] = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class A3Report:
-    a3l: bool
-    a3r: bool
-    a3l_witness: Optional[tuple] = None
-    a3r_witness: Optional[tuple] = None
+class A3Report(
+    namedtuple("A3Report", "a3l a3r a3l_witness a3r_witness", defaults=(None, None))
+):
+    """check_a3's flags a3l and a3r (bool) and witnesses (tuple or None)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TernaryQuasigroup:
-    """An operation table together with its division tables and flags.
+class TernaryQuasigroup(
+    namedtuple(
+        "TernaryQuasigroup",
+        "t l m r is_quasigroup satisfies_a3l satisfies_a3r is_involutory",
+    )
+):
+    """An operation table t (OpTable), its division tables l, m, r (OpTable,
+    or None when t is not a quasigroup) and four flags (bool)."""
 
-    The division tables are None when the table is not a quasigroup.
-    """
-
-    t: OpTable
-    l: Optional[OpTable]
-    m: Optional[OpTable]
-    r: Optional[OpTable]
-    is_quasigroup: bool
-    satisfies_a3l: bool
-    satisfies_a3r: bool
-    is_involutory: bool
+    __slots__ = ()
 
     @property
     def order(self):

@@ -11,9 +11,8 @@ matching the usual pictorial conventions; the shipped fixtures document
 theirs.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
-from typing import Tuple
 
 from .chains import Chain
 from .errors import FormatError, MathError, integers, read_records
@@ -25,36 +24,39 @@ from .chains import boundary  # noqa: F401
 CROSSING_KINDS = ("P", "N", "F", "M")
 
 
-@dataclass(frozen=True)
-class Crossing:
-    kind: str  # P positive, N negative, F flat, M marker
-    corners: Tuple[int, int, int, int]
+class Crossing(namedtuple("Crossing", "kind corners")):
+    """One crossing line: kind (str: P positive, N negative, F flat, M
+    marker) and corners (tuple of four region indices, int)."""
 
-    def __post_init__(self):
-        if self.kind not in CROSSING_KINDS:
-            raise FormatError("unknown crossing kind %r" % (self.kind,))
-        if len(self.corners) != 4:
+    __slots__ = ()
+
+    def __new__(cls, kind, corners):
+        if kind not in CROSSING_KINDS:
+            raise FormatError("unknown crossing kind %r" % (kind,))
+        if len(corners) != 4:
             raise FormatError("a crossing names exactly four regions")
+        return super().__new__(cls, kind, corners)
 
 
-@dataclass(frozen=True)
-class Diagram:
-    num_regions: int
-    crossings: Tuple[Crossing, ...]
+class Diagram(namedtuple("Diagram", "num_regions crossings")):
+    """A diagram: num_regions (int) and crossings (tuple of Crossing)."""
 
-    def __post_init__(self):
-        if self.num_regions < 1:
+    __slots__ = ()
+
+    def __new__(cls, num_regions, crossings):
+        if num_regions < 1:
             raise FormatError("a diagram needs at least one region")
-        kinds = {c.kind for c in self.crossings}
+        kinds = {c.kind for c in crossings}
         if "F" in kinds and ("P" in kinds or "N" in kinds):
             raise FormatError("flat and classical crossings cannot be mixed")
-        for c in self.crossings:
+        for c in crossings:
             for r in c.corners:
-                if not 0 <= r < self.num_regions:
+                if not 0 <= r < num_regions:
                     raise FormatError(
                         "region index %d out of range (%d regions)"
-                        % (r, self.num_regions)
+                        % (r, num_regions)
                     )
+        return super().__new__(cls, num_regions, crossings)
 
     @property
     def is_flat(self):
@@ -96,17 +98,12 @@ def _check_algebra(d, X):
 
 
 def is_valid_coloring(d, X, col):
-    """True iff every crossing constraint holds for the region assignment."""
+    """True iff every crossing constraint (see associated_chain) holds."""
     _check_algebra(d, X)
-    for c in d.crossings:
-        if c.kind == "M":
-            p, q, p2, q2 = c.corners
-            if col[p] != col[p2] or col[q] != col[q2]:
-                return False
-        else:
-            a, b, cc, dd = c.corners
-            if X.t(col[a], col[b], col[cc]) != col[dd]:
-                return False
+    try:
+        associated_chain(d, X, col)
+    except MathError:
+        return False
     return True
 
 
@@ -222,17 +219,21 @@ def brute_force_colorings(d, X):
 def associated_chain(d, X, col):
     """The degree-1 chain of a colored diagram: +(a,b,c) per positive or
     flat crossing, -(a,b,c) per negative one; markers contribute nothing.
-    MathError when col is not a valid coloring.  The chain of a diagram
-    that closes up is a cycle; HomologyClassChecker.equal tests that."""
-    if not is_valid_coloring(d, X, col):
-        raise MathError("the assignment is not a valid coloring")
-    acc = {}
+    MathError when col is not a valid coloring, checked in the same pass.
+    The chain of a diagram that closes up is a cycle; the class checks and
+    state sums of ktq.invariants test that."""
+    _check_algebra(d, X)
+    order, t, acc = X.order, X.t.values, {}
     for c in d.crossings:
+        a, b, cc, dd = c.corners
         if c.kind == "M":
+            if col[a] != col[cc] or col[b] != col[dd]:
+                raise MathError("the assignment is not a valid coloring")
             continue
-        sign = -1 if c.kind == "N" else 1
-        tri = (col[c.corners[0]], col[c.corners[1]], col[c.corners[2]])
-        acc[tri] = acc.get(tri, 0) + sign
+        tri = (col[a], col[b], col[cc])
+        if t[(tri[0] * order + tri[1]) * order + tri[2]] != col[dd]:
+            raise MathError("the assignment is not a valid coloring")
+        acc[tri] = acc.get(tri, 0) + (-1 if c.kind == "N" else 1)
     return Chain(1, acc)
 
 

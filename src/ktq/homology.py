@@ -24,7 +24,7 @@ A differential that does not square to zero, or relators that do not span
 a subcomplex, raise MathError.  All arithmetic is exact.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from .chains import (
     all_tuples,
@@ -44,19 +44,20 @@ MODE_CHOICES = ("quotient", "subcomplex")
 DIFF_CHOICES = ("L", "R", "full")
 
 
-@dataclass(frozen=True)
-class HomologyVariant:
-    relators: str = "none"
-    mode: str = "quotient"
-    diff_kind: str = "full"
+class HomologyVariant(namedtuple("HomologyVariant", "relators mode diff_kind")):
+    """A homology variant: relators (one of RELATOR_CHOICES), mode (one of
+    MODE_CHOICES) and diff_kind (one of DIFF_CHOICES), all str."""
 
-    def __post_init__(self):
-        if self.relators not in RELATOR_CHOICES:
-            raise ValueError("unknown relator set %r" % (self.relators,))
-        if self.mode not in MODE_CHOICES:
-            raise ValueError("unknown mode %r" % (self.mode,))
-        if self.diff_kind not in DIFF_CHOICES:
-            raise ValueError("unknown differential kind %r" % (self.diff_kind,))
+    __slots__ = ()
+
+    def __new__(cls, relators="none", mode="quotient", diff_kind="full"):
+        if relators not in RELATOR_CHOICES:
+            raise ValueError("unknown relator set %r" % (relators,))
+        if mode not in MODE_CHOICES:
+            raise ValueError("unknown mode %r" % (mode,))
+        if diff_kind not in DIFF_CHOICES:
+            raise ValueError("unknown differential kind %r" % (diff_kind,))
+        return super().__new__(cls, relators, mode, diff_kind)
 
 
 #: Shorthand names used by the command line and the invariance lemmas.
@@ -121,10 +122,11 @@ def default_degree_cap(order):
     return 4 if order <= 3 else 3
 
 
-#: The most generators homology(X, n) may materialize, |X|**(n+2) in C_n
-#: plus |X|**(n+3) in C_{n+1}, whatever the degree cap.  z5 H_2 needs
-#: 3,750; z5 H_3, which needs 18,750, is refused.
-MAX_GENERATORS = 10000
+#: The most work homology(X, n) may take on, whatever the degree cap: the
+#: |X|**(n+2) + |X|**(n+3) generators of C_n and C_{n+1} times (n+2)**2, a
+#: floor on the faces of one tuple.  z5 H_2 needs 60,000, z3 H_4 104,976;
+#: z5 H_3 (468,750, over 30 s) and order 1 above degree 385 are refused.
+MAX_WORK = 300000
 
 
 class _RelatorLattices:
@@ -218,7 +220,7 @@ def homology(X, n, v=HomologyVariant(), degree_cap=None):
     Quotient mode computes the homology of C/R, subcomplex mode of R itself;
     with relators 'none' both give the plain homology.  Degrees above the
     materialization cap are rejected unless degree_cap overrides it, and
-    so, always, is a degree needing more than MAX_GENERATORS generators.
+    so, always, is a degree needing more than MAX_WORK work.
     """
     if n < -1:
         raise MathError("homology is computed for degrees >= -1")
@@ -229,12 +231,13 @@ def homology(X, n, v=HomologyVariant(), degree_cap=None):
             "degree %d exceeds the materialization cap %d for order %d"
             % (n, cap, X.order)
         )
-    # |X|**(n+2) + |X|**(n+3); the exponent is capped, since 2**64 already
-    # exceeds the limit, so that an absurd degree costs nothing
-    if X.order ** min(n + 2, 64) * (1 + X.order) > MAX_GENERATORS:
+    # (|X|**(n+2) + |X|**(n+3)) * (n+2)**2; the exponent is capped, since
+    # 2**64 already exceeds the limit, so that an absurd degree costs nothing
+    if X.order ** min(n + 2, 64) * (1 + X.order) * (n + 2) ** 2 > MAX_WORK:
         raise MathError(
-            "degree %d over order %d needs %d^%d + %d^%d generators, more than %d"
-            % (n, X.order, X.order, n + 2, X.order, n + 3, MAX_GENERATORS)
+            "degree %d over order %d needs %d^%d + %d^%d generators times %d^2,"
+            " more work than %d"
+            % (n, X.order, X.order, n + 2, X.order, n + 3, n + 2, MAX_WORK)
         )
     lattices = _RelatorLattices(X, v.relators, v.diff_kind)
     sub = v.mode == "subcomplex" and v.relators != "none"

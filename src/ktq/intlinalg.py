@@ -12,21 +12,18 @@ Smith forms.  A dense matrix may have zero rows; pass ncols explicitly
 whenever the column count cannot be read off the data.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Tuple
 
 from .errors import MathError
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    """A finitely generated abelian group: free rank plus a divisibility
-    chain of torsion orders d1 | d2 | ..., each >= 2."""
+class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion", defaults=((),))):
+    """A finitely generated abelian group: free_rank (int) plus torsion, a
+    divisibility chain of orders d1 | d2 | ..., each >= 2 (tuple of int)."""
 
-    free_rank: int
-    torsion: Tuple[int, ...] = ()
+    __slots__ = ()
 
     def __str__(self):
         parts = []

@@ -6,9 +6,9 @@ report searches each diagram's colorings once and builds each coloring's
 chain at most once, for the class checks and every state sum.
 """
 
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
 
+from .chains import boundary
 from .diagram import associated_chain, colorings
 
 # The report's hash join of two coloring lists.  It is bound here as
@@ -20,13 +20,12 @@ from .errors import MathError
 from .homology import HomologyClassChecker, HomologyVariant
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
+class GroupRingElement(namedtuple("GroupRingElement", "modulus coeffs")):
     """An element of Z[Z_m], additively written: a finitely supported
-    integer-coefficient map on residues mod m."""
+    integer-coefficient map on residues mod m.  modulus is m (int); coeffs
+    is a tuple of sorted (residue, coefficient) pairs of int."""
 
-    modulus: int
-    coeffs: Tuple[Tuple[int, int], ...]  # sorted (residue, coefficient) pairs
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, modulus, d):
@@ -52,6 +51,15 @@ def _check_cocycle(X, phi):
         raise MathError("cocycle refers to elements outside the algebra")
 
 
+def _chains(d, X, cols, test_cycles):
+    """The associated chain of each coloring.  With test_cycles, MathError
+    when one is not a cycle: the diagram does not close up."""
+    chains = {col: associated_chain(d, X, col) for col in cols}
+    if test_cycles and any(boundary(X, z) for z in chains.values()):
+        raise MathError("the diagram does not close up: a chain is not a cycle")
+    return chains
+
+
 def _state_sums(chains, cocycles):
     """The state sum of each cocycle over the associated chains of a
     diagram's colorings."""
@@ -68,8 +76,7 @@ def state_sum(d, X, phi):
     the associated chain (markers contribute nothing), and record one
     group-ring unit at the resulting residue."""
     _check_cocycle(X, phi)
-    chains = [associated_chain(d, X, col) for col in colorings(d, X)]
-    return _state_sums(chains, [phi])[0]
+    return _state_sums(_chains(d, X, colorings(d, X), True).values(), [phi])[0]
 
 
 def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
@@ -96,8 +103,9 @@ def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
     cocycles = tuple(cocycles)
     chains1 = chains2 = {}
     if correspondence is not None or cocycles:
-        chains1 = {col: associated_chain(d1, X, col) for col in cols1}
-        chains2 = {col: associated_chain(d2, X, col) for col in cols2}
+        # the class checks below test the matched chains for cycles
+        test = correspondence is None
+        chains1, chains2 = _chains(d1, X, cols1, test), _chains(d2, X, cols2, test)
 
     classes_equal = True
     if correspondence is not None:

@@ -256,6 +256,31 @@ def test_oversized_homology_is_refused_before_it_allocates(capsys):
     assert "needs 3^11 + 3^12 generators" in capsys.readouterr().err
 
 
+def test_long_tuples_are_refused_before_their_faces_are_built(capsys):
+    # two generators over order 1, but each of length 1002 and 1003
+    start = time.perf_counter()
+    code, out = run(
+        "homology", fixture_path("order1.ktq"), "--degree", "1000", "--degree-cap", "2000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "generators times 1002^2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["statesum", "open.dg", "phi.coc"],
+    ["compare", "open.dg", fixture_path("unknot0.dg"), "--mod", "3"],
+])
+def test_a_diagram_that_does_not_close_up_is_refused(command, tmp_path, capsys):
+    # a lone crossing: no class check tests its chains, the state sums do
+    (tmp_path / "open.dg").write_text("diagram 4\nP 0 1 2 3\n")
+    (tmp_path / "phi.coc").write_text("cocycle 3\n0 1 0 -> 2\n")
+    argv = [str(tmp_path / a) if a in ("open.dg", "phi.coc") else a for a in command]
+    code, out = run(argv[0], fixture_path("z3linear.ktq"), *argv[1:])
+    assert (code, out) == (3, "")
+    assert "does not close up" in capsys.readouterr().err
+
+
 def test_oversized_coloring_search_is_refused_before_it_starts(tmp_path, capsys):
     # 40 regions and no crossing: 3^40 colorings
     dg = tmp_path / "wide.dg"

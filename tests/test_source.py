@@ -3,6 +3,8 @@
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "ktq")
 
@@ -69,3 +71,19 @@ def test_invariants_read_no_crossing_data():
         and node.attr in ("crossings", "corners", "kind")
     )
     assert [owner for owner in reads if owner.startswith("invariants")] == []
+
+
+def test_the_cli_imports_no_heavy_standard_modules():
+    # each of these costs milliseconds of start-up in every ktq process;
+    # -S keeps site, which may import typing itself, out of the count
+    script = (
+        "import sys; sys.path.insert(0, %r); import ktq.cli; "
+        "print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+        % os.path.join(SRC, os.pardir)
+    )
+    heavy = ["dataclasses", "inspect", "ast", "typing"]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, *heavy],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
