@@ -85,40 +85,52 @@ def _op(X):
     return X.t if hasattr(X, "t") else X
 
 
-def _face_l_rewrite(t, i, x):
-    # d_0 drops the head; d_i rewrites slot i to T(x_{i-1}, x_i, x_{i+1})
-    # and recurses on d_{i-1}.
-    while i > 0:
-        x = x[:i] + (t(x[i - 1], x[i], x[i + 1]),) + x[i + 1:]
-        i -= 1
-    return x[1:]
+def face_entries(v, q, side, i, x):
+    """The entries that face i of the tuple x computes, read off the flat
+    table v of an order-q operation T.
+
+    Side 'L': slot i is rewritten to T(x_{i-1}, x_i, x_{i+1}), then slots
+    i-1, ..., 1 in turn, each from the slot after it; face i is these
+    entries followed by x[i+1:] (d_0 drops the head).  Side 'R': z_i = x_i
+    and z_k = T(z_{k-1}, x_k, x_{k+1}) for k = i+1, ..., n; face i is x[:i+1]
+    followed by these entries.
+    """
+    out = []
+    if side == "L":
+        y = x[i + 1]
+        for k in range(i, 0, -1):
+            y = v[(x[k - 1] * q + x[k]) * q + y]
+            out.append(y)
+        out.reverse()
+    else:
+        z = x[i]
+        for k in range(i + 1, len(x) - 1):
+            z = v[(z * q + x[k]) * q + x[k + 1]]
+            out.append(z)
+    return out
 
 
-def _face_r_scan(t, i, x):
-    # keep x_0..x_i, then continue the z-recursion z_k = T(z_{k-1}, x_k, x_{k+1})
-    n = len(x) - 2
-    out = list(x[: i + 1])
-    z = x[i]
-    for k in range(i + 1, n + 1):
-        z = t(z, x[k], x[k + 1])
-        out.append(z)
-    return tuple(out)
+def _face(X, side, i, tup):
+    n = len(tup) - 2
+    if n < 0 or not 0 <= i <= n:
+        raise IndexError("face index %d out of range for degree %d" % (i, n))
+    t = _op(X)
+    entries = tuple(face_entries(t.values, t.order, side, i, tup))
+    return entries + tup[i + 1:] if side == "L" else tup[: i + 1] + entries
 
 
 def face_l(X, i, tup):
     """The i-th left face of a degree-n tuple (degree drops by one)."""
-    n = len(tup) - 2
-    if n < 0 or not 0 <= i <= n:
-        raise IndexError("face index %d out of range for degree %d" % (i, n))
-    return _face_l_rewrite(_op(X), i, tup)
+    return _face(X, "L", i, tup)
 
 
 def face_r(X, i, tup):
     """The i-th right face of a degree-n tuple."""
-    n = len(tup) - 2
-    if n < 0 or not 0 <= i <= n:
-        raise IndexError("face index %d out of range for degree %d" % (i, n))
-    return _face_r_scan(_op(X), i, tup)
+    return _face(X, "R", i, tup)
+
+
+#: The faces of each differential kind: (side, sign of that side's faces).
+SIDES = {"L": (("L", 1),), "R": (("R", 1),), "full": (("L", 1), ("R", -1))}
 
 
 def boundary_tuple(X, tup, kind="full"):
@@ -127,23 +139,16 @@ def boundary_tuple(X, tup, kind="full"):
     kind 'L' gives the alternating sum of left faces, 'R' of right faces,
     'full' their difference.  Degree -1 tuples map to zero in degree -2.
     """
-    if kind not in ("L", "R", "full"):
+    if kind not in SIDES:
         raise ValueError("unknown differential kind %r" % (kind,))
     n = len(tup) - 2
     if n < 0:
         return Chain(n - 1)
     acc = {}
-
-    def add(t2, c):
-        acc[t2] = acc.get(t2, 0) + c
-
-    if kind in ("L", "full"):
+    for side, sign in SIDES[kind]:
         for i in range(n + 1):
-            add(face_l(X, i, tup), (-1) ** i)
-    if kind in ("R", "full"):
-        sign = -1 if kind == "full" else 1
-        for i in range(n + 1):
-            add(face_r(X, i, tup), sign * (-1) ** i)
+            face = _face(X, side, i, tup)
+            acc[face] = acc.get(face, 0) + sign * (-1) ** i
     return Chain(n - 1, acc)
 
 

@@ -16,9 +16,17 @@ elementary divisors (``intlinalg.elementary_divisors``, unit pivots first):
   (Weibel, An introduction to homological algebra, 1.5).  Every lattice
   stays in sparse columns from the generators to intlinalg.
 
+Every differential comes from boundary_columns(X, n, kind), a small cache
+of sparse columns built from chains.face_entries by base-|X| index
+arithmetic, so a process builds each d_n once; callers never change it.
+
 HomologyClassChecker and two_cocycles read one degree-1 relation lattice,
 im d_2 + R_1: d_2 of the cone, whose rows are the triples since R_0 = 0,
-under the preconditions of homology(X, 1, v).
+under the preconditions of homology(X, 1, v).  A chain is a cycle when its
+product with the cached d_1 vanishes (is_cycle); the checker and the state
+sums of ktq.invariants test cycles that way, and the checker asks the
+lattice only membership questions (LatticeSolver.member), so it never
+builds the lattice's Hermite basis.
 
 A differential that does not square to zero, or relators that do not span
 a subcomplex, raise MathError.  All arithmetic is exact.
@@ -26,17 +34,13 @@ a subcomplex, raise MathError.  All arithmetic is exact.
 
 from collections import namedtuple
 from functools import lru_cache
-from .chains import (
-    all_tuples,
-    boundary,
-    boundary_tuple,
-    relator_generators,
-)
+from .chains import SIDES, all_tuples, face_entries, relator_generators
 from .errors import FormatError, MathError, integers, read_records
 from .intlinalg import AbelianGroup, LatticeSolver, dense_matrix, elementary_divisors
 
 # Unused here, but looked up in this module by name: perfbench/tracing.py
 # wraps them where they are bound.
+from .chains import boundary, boundary_tuple  # noqa: F401
 from .intlinalg import cokernel, kernel_int, lattice_basis  # noqa: F401
 
 RELATOR_CHOICES = ("none", "D", "I", "ID")
@@ -89,11 +93,38 @@ def _chain_columns(chains, order, n):
     return [{index[t]: c for t, c in chain.terms.items()} for chain in chains]
 
 
+@lru_cache(maxsize=8)
 def boundary_columns(X, n, kind="full"):
     """The degree-n differential as sparse columns {row: coeff}, one per
-    degree-n tuple, rows indexed by the degree n-1 basis."""
-    chains = (boundary_tuple(X, tup, kind) for tup in chain_basis(X.order, n))
-    return _chain_columns(chains, X.order, n - 1)
+    degree-n tuple, rows indexed by the degree n-1 basis.
+
+    The faces come from chains.face_entries; a face's row is its index in
+    base |X|, the digits it shares with the tuple read off the tuple's own
+    index.  Cached, so callers must not change the columns.
+    """
+    if kind not in SIDES:
+        raise ValueError("unknown differential kind %r" % (kind,))
+    q, v = X.order, X.t.values
+    power = [q ** k for k in range(n + 2)]
+    cols = []
+    for j, x in enumerate(chain_basis(q, n)):
+        col = {}
+        for side, sign in SIDES[kind]:
+            for i in range(n + 1):
+                f = 0
+                for y in face_entries(v, q, side, i, x):
+                    f = f * q + y
+                if side == "L":  # the entries, then x[i+1:]
+                    f = f * power[n + 1 - i] + j % power[n + 1 - i]
+                else:  # x[:i+1], then the entries
+                    f += j // power[n + 1 - i] * power[n - i]
+                c = col.get(f, 0) + (sign if i % 2 == 0 else -sign)
+                if c:
+                    col[f] = c
+                else:
+                    del col[f]
+        cols.append(col)
+    return tuple(cols)
 
 
 def boundary_matrix(X, n, kind="full"):
@@ -135,13 +166,7 @@ class _RelatorLattices:
 
     def __init__(self, X, relators, kind):
         self.X, self.relators, self.kind = X, relators, kind
-        self._boundary = {}
         self._lattice = {}
-
-    def boundary(self, m):
-        if m not in self._boundary:
-            self._boundary[m] = boundary_columns(self.X, m, self.kind)
-        return self._boundary[m]
 
     def lattice(self, m):
         """A LatticeSolver over the degree-m relators."""
@@ -154,7 +179,7 @@ class _RelatorLattices:
         """d_m of R: the boundary of each Hermite basis vector of R_m, in
         coordinates of the Hermite basis of R_{m-1}."""
         lat, below = self.lattice(m), self.lattice(m - 1)
-        d = self.boundary(m) if lat.basis else ()
+        d = boundary_columns(self.X, m, self.kind) if lat.basis else ()
         cols = []
         for p in lat.basis:
             w = {}
@@ -176,7 +201,7 @@ class _RelatorLattices:
             for k, x in p.items():
                 c[r + k] = x
             cols.append(c)
-        for col in self.boundary(m):
+        for col in boundary_columns(self.X, m, self.kind):
             cols.append({r + i: c for i, c in col.items()})
         return cols, r + self.X.order ** (m + 1)
 
@@ -303,6 +328,9 @@ def two_cocycles(X, modulus, v):
     """
     if v.mode != "quotient" or v.diff_kind != "full":
         raise MathError("cocycles are defined for the quotient/full variants")
+    # imported here, on dense rows, because perfbench/tracing.py wraps
+    # ktq.intlinalg.kernel_mod by name after this module is loaded and
+    # sizes the dense matrix it is given
     from .intlinalg import kernel_mod
 
     triples = chain_basis(X.order, 1)
@@ -315,12 +343,29 @@ def two_cocycles(X, modulus, v):
     ]
 
 
+def triple_index(order):
+    """The column of each triple in the degree-1 basis."""
+    return {t: i for i, t in enumerate(chain_basis(order, 1))}
+
+
+def is_cycle(d1, index, c):
+    """Whether the degree-1 chain c is a cycle, for d1 the columns of
+    boundary_columns(X, 1, kind) and index = triple_index(X.order)."""
+    acc = {}
+    for t, a in c.terms.items():
+        for i, b in d1[index[t]].items():
+            acc[i] = acc.get(i, 0) + a * b
+    return not any(acc.values())
+
+
 class HomologyClassChecker:
     """Decides equality of homology classes of degree-1 cycles.
 
     Two cycles are equal in the variant iff their difference lies in
     im d_2 + R_1 (_degree1_relations), so only quotient variants are
-    decided, and only where homology(X, 1, v) is.
+    decided, and only where homology(X, 1, v) is.  Each chain is tested
+    for a cycle through the cached d_1 (is_cycle), and the difference by
+    LatticeSolver.member, which never builds the lattice's Hermite basis.
     """
 
     def __init__(self, X, v=HomologyVariant("D", "quotient", "full")):
@@ -328,21 +373,21 @@ class HomologyClassChecker:
             raise MathError("homology classes are compared in quotient mode only")
         self.X = X
         self.v = v
-        self.index = {t: i for i, t in enumerate(chain_basis(X.order, 1))}
+        self.index = triple_index(X.order)
         self.solver = LatticeSolver.from_columns(_degree1_relations(X, v), len(self.index))
+        self.d1 = boundary_columns(X, 1, v.diff_kind)
 
     def _check_cycle(self, c, name):
         if c.degree != 1:
             raise MathError("%s chain must have degree 1" % name)
-        if boundary(self.X, c, self.v.diff_kind):
+        if not is_cycle(self.d1, self.index, c):
             raise MathError("%s chain is not a cycle" % name)
 
     def equal(self, c1, c2):
         self._check_cycle(c1, "first")
         self._check_cycle(c2, "second")
         diff = c1 - c2
-        residue = {self.index[t]: a for t, a in diff.terms.items()}
-        return self.solver.coordinates(residue) is not None
+        return self.solver.member({self.index[t]: a for t, a in diff.terms.items()})
 
 
 def parse_cocycle(text):

@@ -4,11 +4,13 @@ elementary divisors of sparse matrices, lattice membership and kernels
 
 Sparse matrices, lists of columns each a dict {row: nonzero coefficient},
 are the working format: one routine, _hermite, computes every Hermite form
-on them, and elementary_divisors eliminates unit pivots on them before a
-dense Smith form of the residual block.  Dense matrices, plain lists of row
-lists of Python ints, appear only at the adapters: column_hnf,
-lattice_basis, kernel_int, LatticeSolver(M, ncols), kernel_mod, and the
-Smith forms.  A dense matrix may have zero rows; pass ncols explicitly
+on them, and one, _eliminate_units, eliminates their unit pivots for
+elementary_divisors, kernel_mod and LatticeSolver, which decides
+membership by replaying that elimination on the query and builds the
+Hermite basis of the whole lattice only when basis, coordinates or solve
+need it.  Dense matrices, plain lists of row lists of Python ints,
+appear only at the adapters: column_hnf, lattice_basis, kernel_int,
+LatticeSolver(M, ncols), kernel_mod, and the Smith forms.  A dense matrix may have zero rows; pass ncols explicitly
 whenever the column count cannot be read off the data.
 """
 
@@ -278,11 +280,14 @@ def lattice_basis(M, ncols=None):
 class LatticeSolver:
     """Reusable exact solver for M*c = v against a fixed column lattice.
 
-    The Hermite basis is computed once.  Membership and coordinates over it
-    need only its forward residue pass; the unimodular transform back to
-    coefficients of the columns of M is computed on the first solve() that
-    finds a solution.  LatticeSolver(M, ncols) takes a dense matrix,
-    from_columns sparse columns.
+    Membership (member, contains) carries the query through the row
+    operations of the columns' unit elimination (_eliminate_units, run
+    once), then tests what is left against the Hermite form of the residual
+    block, which has no unit entries.  The Hermite basis of the whole
+    lattice is built on the first access to basis, coordinates or solve,
+    and the unimodular transform back to coefficients of the columns of M
+    on the first solve() that finds a solution.  LatticeSolver(M, ncols)
+    takes a dense matrix, from_columns sparse columns.
     """
 
     def __init__(self, M, ncols=None):
@@ -299,15 +304,36 @@ class LatticeSolver:
     def _build(self, columns, nrows):
         self.nrows, self.ncols = nrows, len(columns)
         self._columns = columns
-        #: the Hermite basis of the lattice as sparse columns, one per pivot
-        self.basis, _ = _hermite(columns)
-        self._pivot = {min(col): k for k, col in enumerate(self.basis)}
-        self._W = None
+        self._basis = self._W = self._units = None
+
+    @property
+    def basis(self):
+        """The Hermite basis of the lattice as sparse columns, one per
+        pivot, in increasing order of their pivot rows."""
+        if self._basis is None:
+            self._basis, _ = _hermite(self._columns)
+            self._pivot = {min(col): k for k, col in enumerate(self._basis)}
+        return self._basis
+
+    def member(self, residue):
+        """Whether a sparse vector {row: coeff} lies in the lattice."""
+        if self._units is None:
+            self._units, cols = _eliminate_units(self._columns, self.nrows)
+            self._residual = LatticeSolver.from_columns(list(cols.values()), self.nrows)
+        res = {i: a for i, a in residue.items() if a}
+        for _, u, _, p, pcol in self._units:
+            # row i -= (a / u) * row p for each entry a of the pivot column,
+            # then row p leaves: the unit column spans it
+            x = res.pop(p, 0)
+            if x:
+                _axpy(res, -u * x, pcol)
+        return self._residual.coordinates(res) is not None
 
     def coordinates(self, residue):
         """Integer coefficients {basis index: q} of a sparse vector
         {row: coeff} over the Hermite basis, or None when it is not in the
         lattice."""
+        basis = self.basis
         res = {i: a for i, a in residue.items() if a}
         y = {}
         while res:
@@ -315,7 +341,7 @@ class LatticeSolver:
             k = self._pivot.get(i)
             if k is None:
                 return None
-            col = self.basis[k]
+            col = basis[k]
             q, r = divmod(res[i], col[i])
             if r:
                 return None
@@ -341,8 +367,10 @@ class LatticeSolver:
                 c[j] += q * a
         return c
 
+    # Nothing in ktq calls contains or solve; perfbench/tracing.py wraps
+    # both on the class by name.
     def contains(self, v):
-        return self.coordinates(self._sparse(v)) is not None
+        return self.member(self._sparse(v))
 
 
 def kernel_int(M, ncols=None):
@@ -368,7 +396,7 @@ def kernel_mod(M, modulus, ncols=None):
         raise MathError("modulus must be >= 2")
     m, n = _shape(M, ncols)
     pivots, cols = _eliminate_units(_columns(M, n), m)
-    eliminated = {j for j, _, _ in pivots}
+    eliminated = {pivot[0] for pivot in pivots}
     free = [j for j in range(n) if j not in eliminated]
     R = _dense_block(cols, free)
     _, D, V = _snf(R, len(free), False, True)
@@ -381,7 +409,7 @@ def kernel_mod(M, modulus, ncols=None):
         x = [0] * n
         for r, j in enumerate(free):
             x[j] = V[r][c] * k % modulus
-        for j, u, prow in reversed(pivots):
+        for j, u, prow, _, _ in reversed(pivots):
             # u*x_j + sum prow[i]*x_i = 0 and 1/u == u for a unit u
             x[j] = -u * sum(a * x[i] for i, a in prow.items()) % modulus
         if any(x):
@@ -406,9 +434,10 @@ def _eliminate_units(columns, nrows):
     row, to keep the fill low (Dumas, Heckenbach, Saunders and Welker,
     2003).  Row operations clear the rest of its column; the pivot row and
     column then leave the matrix.  Returns (pivots, cols): pivots lists
-    (j, u, prow) in elimination order, for the pivot u in column j and the
-    rest prow {col: coeff} of its row at that step, and cols maps each
-    column left with nonzero entries to them.
+    (j, u, prow, p, pcol) in elimination order, for the pivot u in column j
+    and row p, with the rest of its row, prow {col: coeff}, and of its
+    column, pcol {row: coeff}, at that step; cols maps each column left
+    with nonzero entries to them.
     """
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows = [dict() for _ in range(nrows)]
@@ -456,7 +485,7 @@ def _eliminate_units(columns, nrows):
                 heappush(heap, (len(ck), k))
             else:
                 del cols[k]
-        pivots.append((j, u, prow))
+        pivots.append((j, u, prow, p, col))
     return pivots, cols
 
 

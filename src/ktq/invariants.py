@@ -8,7 +8,6 @@ chain at most once, for the class checks and every state sum.
 
 from collections import namedtuple
 
-from .chains import boundary
 from .diagram import associated_chain, colorings
 
 # The report's hash join of two coloring lists.  It is bound here as
@@ -17,7 +16,13 @@ from .diagram import associated_chain, colorings
 # is ktq.diagram.matched_colorings.
 from .diagram import join_colorings as matched_colorings
 from .errors import MathError
-from .homology import HomologyClassChecker, HomologyVariant
+from .homology import (
+    HomologyClassChecker,
+    HomologyVariant,
+    boundary_columns,
+    is_cycle,
+    triple_index,
+)
 
 
 class GroupRingElement(namedtuple("GroupRingElement", "modulus coeffs")):
@@ -55,8 +60,10 @@ def _chains(d, X, cols, test_cycles):
     """The associated chain of each coloring.  With test_cycles, MathError
     when one is not a cycle: the diagram does not close up."""
     chains = {col: associated_chain(d, X, col) for col in cols}
-    if test_cycles and any(boundary(X, z) for z in chains.values()):
-        raise MathError("the diagram does not close up: a chain is not a cycle")
+    if test_cycles:
+        d1, index = boundary_columns(X, 1, "full"), triple_index(X.order)
+        if not all(is_cycle(d1, index, z) for z in chains.values()):
+            raise MathError("the diagram does not close up: a chain is not a cycle")
     return chains
 
 

@@ -12,14 +12,18 @@ Hermite form became sparse, when D still went by restriction and I and ID
 through the dense Hermite form.
 """
 
+import io
+
 import pytest
 
 from ktq import MathError
-from ktq.chains import is_d_degenerate
+from ktq.chains import boundary_tuple, is_d_degenerate
+from ktq.cli import cli_main
 from ktq.homology import (
     DIFF_CHOICES,
     MODE_CHOICES,
     NAMED_VARIANTS,
+    RELATOR_CHOICES,
     HomologyVariant,
     _free_homology,
     boundary_columns,
@@ -27,7 +31,7 @@ from ktq.homology import (
     homology,
 )
 
-from conftest import load_algebra
+from conftest import fixture_path, load_algebra
 
 ALGEBRAS = ["order1", "z2sum", "z2sum1", "z3sum", "z3linear", "z5affine"]
 
@@ -241,3 +245,40 @@ def test_restriction_equals_cone_over_degenerate_relators(n):
                 assert homology(X, n, HomologyVariant("D", mode, kind)) == expect, (
                     name, mode, kind,
                 )
+
+
+def assembled_columns(X, n, kind):
+    """d_n as sparse columns, one boundary_tuple Chain per degree-n tuple."""
+    index = {t: i for i, t in enumerate(chain_basis(X.order, n - 1))}
+    return tuple(
+        {index[t]: c for t, c in boundary_tuple(X, tup, kind).terms.items()}
+        for tup in chain_basis(X.order, n)
+    )
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_boundary_columns_match_boundary_tuple(name):
+    X = load_algebra(name + ".ktq")
+    for n in range(-1, 3 if name == "z5affine" else 4):
+        for kind in DIFF_CHOICES:
+            assert boundary_columns(X, n, kind) == assembled_columns(X, n, kind), (n, kind)
+
+
+def test_no_caller_changes_the_cached_columns(z3linear):
+    # every degree that homology(X, n <= 2) and a compare report read, all
+    # in the cache at once, so a second call returns the same objects
+    first = {n: boundary_columns(z3linear, n, "full") for n in range(-1, 4)}
+    for n in range(-1, 3):
+        for relators in RELATOR_CHOICES:
+            for mode in MODE_CHOICES:
+                homology(z3linear, n, HomologyVariant(relators, mode, "full"))
+    code = cli_main(
+        ["compare", fixture_path("z3linear.ktq"), fixture_path("r3_after.dg"),
+         fixture_path("r3_before.dg"), "--variant", "NID",
+         "--correspondence", fixture_path("r3.corr"), "--mod", "3"],
+        io.StringIO(),
+    )
+    assert code == 0
+    for n, cols in first.items():
+        assert boundary_columns(z3linear, n, "full") is cols
+        assert cols == assembled_columns(z3linear, n, "full"), n

@@ -138,8 +138,10 @@ def test_lattice_solver_solves():
 def test_lattice_solver_coordinates_and_lazy_transform():
     M = [[2, 1, 3], [0, 3, 3]]
     s = LatticeSolver(M, 3)
-    # membership and coordinates never need the transform
+    # membership needs neither the Hermite basis nor the transform, and
+    # coordinates never need the transform
     assert s.contains([4, 6]) and not s.contains([1, 0])
+    assert s._basis is None
     y = s.coordinates({0: 4, 1: 6})
     assert [sum(q * s.basis[a].get(k, 0) for a, q in y.items()) for k in range(2)] == [4, 6]
     assert s._W is None

@@ -1,28 +1,35 @@
 """The degree-1 relation lattice im d_2 + R_1 that HomologyClassChecker and
 two_cocycles read from the homology engine's cone, against the dense
 assembly the checker used before it (boundary_matrix with the
-relator_columns appended), and its preconditions against homology(X, 1, v).
+relator_columns appended), its preconditions against homology(X, 1, v),
+and membership in it by unit elimination against the Hermite form and the
+dense oracle.
 """
 
 import importlib
 import io
+import random
 
 import pytest
 
 from ktq import MathError
 from ktq.algebra import classify, enumerate_ktqs
+from ktq.chains import Chain
 from ktq.homology import (
+    NAMED_VARIANTS,
     HomologyClassChecker,
     HomologyVariant,
     _degree1_relations,
     boundary_matrix,
+    chain_basis,
     homology,
     relator_columns,
     two_cocycles,
 )
 from ktq.cli import cli_main
-from ktq.intlinalg import dense_matrix, lattice_basis
+from ktq.intlinalg import LatticeSolver, dense_matrix, lattice_basis
 
+import hnf_oracle
 from conftest import fixture_path, load_algebra
 
 KTQS = ["order1", "z2sum", "z2sum1", "z3linear", "z5affine"]
@@ -103,3 +110,72 @@ def test_compare_builds_the_relation_lattice_once(monkeypatch):
     _degree1_relations.cache_clear()
     assert code == 0
     assert len(built) == 1
+
+
+def sampled_vectors(cols, nrows, rng):
+    """Sparse vectors over the rows of the lattice spanned by cols: small
+    combinations of its columns, the same with one entry moved, doubled
+    random vectors and random vectors."""
+    out = []
+    for _ in range(12):
+        member = {}
+        for col in rng.sample(cols, min(len(cols), rng.randint(1, 6))):
+            q = rng.choice((-2, -1, 1, 2))
+            for i, a in col.items():
+                member[i] = member.get(i, 0) + q * a
+        out.append(member)
+        moved = dict(member)
+        i = rng.randrange(nrows)
+        moved[i] = moved.get(i, 0) + rng.choice((-1, 1, 2))
+        out.append(moved)
+        rand = {rng.randrange(nrows): rng.randint(-2, 2) for _ in range(rng.randint(1, 4))}
+        out.append(rand)
+        out.append({i: 2 * a for i, a in rand.items()})
+    return out
+
+
+@pytest.mark.parametrize("name", KTQS + ["z3sum"])
+def test_membership_by_elimination_matches_the_hermite_form_and_the_oracle(name):
+    X = load_algebra(name + ".ktq")
+    nrows = X.order ** 3
+    rng = random.Random(name)
+    seen = set()
+    for relators in ("none", "D", "I", "ID"):
+        for kind in KINDS:
+            v = HomologyVariant(relators, "quotient", kind)
+            if refused(lambda: homology(X, 1, v)):
+                continue
+            cols = list(_degree1_relations(X, v))
+            solver = LatticeSolver.from_columns(cols, nrows)
+            hermite = LatticeSolver.from_columns(cols, nrows)
+            oracle = hnf_oracle.DenseLatticeSolver(dense_matrix(cols, nrows), len(cols))
+            for w in sampled_vectors(cols, nrows, rng):
+                got = solver.member(w)
+                assert got == (hermite.coordinates(w) is not None), (v, w)
+                dense = [w.get(i, 0) for i in range(nrows)]
+                assert got == (oracle.coordinates(dense) is not None), (v, w)
+                seen.add(got)
+            # membership never built the Hermite basis of the whole lattice
+            assert solver._basis is None
+    # z3sum is a quasigroup whose differential does not square to zero, so
+    # homology(X, 1, v) refuses every variant
+    assert seen == (set() if name == "z3sum" else {True, False})
+
+
+def test_a_torsion_class_is_decided_by_the_non_unit_residual(z3linear):
+    # H_1 of NI is Z^3 + (Z/2)^3.  Where T(x) = x_1 the I relator of the
+    # triple x is 2x, so x is a cycle with 2x in the lattice, and x itself
+    # is outside it for some x: the unit pivots cannot see that
+    v = NAMED_VARIANTS["NI"]
+    assert str(homology(z3linear, 1, v)) == "Z^3 + Z/2 + Z/2 + Z/2"
+    checker = HomologyClassChecker(z3linear, v)
+    zero = Chain(1)
+    outside = []
+    for x in chain_basis(3, 1):
+        if z3linear.t(*x) == x[1]:
+            assert checker.equal(Chain.single(x, 2), zero)
+            if not checker.equal(Chain.single(x), zero):
+                outside.append(x)
+    assert outside
+    assert checker.solver._residual.basis
+    assert checker.solver._basis is None

@@ -63,6 +63,33 @@ def test_one_function_splits_input_into_lines_and_cuts_comments():
     assert cuts == ["errors.read_records"]
 
 
+def test_one_function_tests_for_unit_pivots():
+    # elementary_divisors, kernel_mod and LatticeSolver share one unit
+    # elimination, intlinalg._eliminate_units
+    def unit(node):
+        return isinstance(node, ast.Constant) and node.value == 1 or (
+            isinstance(node, ast.UnaryOp)
+            and isinstance(node.op, ast.USub)
+            and unit(node.operand)
+        )
+
+    def unit_test(node):
+        # a == 1 or a == -1, abs(a) == 1, a in (1, -1)
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            return all(
+                isinstance(v, ast.Compare) and isinstance(v.ops[0], ast.Eq) and unit(v.comparators[0])
+                for v in node.values
+            )
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call):
+            return getattr(node.left.func, "id", None) == "abs" and unit(node.comparators[0])
+        if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In):
+            elts = getattr(node.comparators[0], "elts", [])
+            return len(elts) == 2 and all(unit(e) for e in elts)
+        return False
+
+    assert _functions_where(unit_test) == ["intlinalg._eliminate_units"]
+
+
 def test_invariants_read_no_crossing_data():
     # the crossing-sign rule lives in diagram.associated_chain alone: the
     # class checks and state sums read the chains it builds
