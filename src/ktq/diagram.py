@@ -255,7 +255,8 @@ def join_colorings(d1, d2, cols1, cols2, pairs):
     """The pairs of the given colorings of d1 and d2 that agree on the
     mapped regions, in the order of cols1, then cols2: a hash join on the
     colors of those regions.  A pair naming a region outside either
-    diagram raises FormatError."""
+    diagram raises FormatError, a join of more than MAX_LEAVES pairs
+    MathError before it is built."""
     for i, j in pairs:
         if not (0 <= i < d1.num_regions and 0 <= j < d2.num_regions):
             raise FormatError(
@@ -265,11 +266,11 @@ def join_colorings(d1, d2, cols1, cols2, pairs):
     by_key = {}
     for c2 in cols2:
         by_key.setdefault(tuple(c2[j] for _, j in pairs), []).append(c2)
-    return [
-        (c1, c2)
-        for c1 in cols1
-        for c2 in by_key.get(tuple(c1[i] for i, _ in pairs), ())
-    ]
+    groups = [by_key.get(tuple(c1[i] for i, _ in pairs), ()) for c1 in cols1]
+    size = sum(map(len, groups))
+    if size > MAX_LEAVES:
+        raise MathError("the join has %d coloring pairs, more than %d" % (size, MAX_LEAVES))
+    return [(c1, c2) for c1, group in zip(cols1, groups) for c2 in group]
 
 
 def matched_colorings(d1, d2, X, pairs):

@@ -21,12 +21,13 @@ of sparse columns built from chains.face_entries by base-|X| index
 arithmetic, so a process builds each d_n once; callers never change it.
 
 HomologyClassChecker and two_cocycles read one degree-1 relation lattice,
-im d_2 + R_1: d_2 of the cone, whose rows are the triples since R_0 = 0,
-under the preconditions of homology(X, 1, v).  A chain is a cycle when its
-product with the cached d_1 vanishes (is_cycle); the checker and the state
-sums of ktq.invariants test cycles that way, and the checker asks the
-lattice only membership questions (LatticeSolver.member), so it never
-builds the lattice's Hermite basis.
+im d_2 + R_1 (d_2 of the cone; its rows are the triples, since R_0 = 0),
+under the preconditions of homology(X, 1, v).  A process builds and
+eliminates it once: one cached LatticeSolver answers the checker's
+membership questions and gives the mod-m cocycles from the same unit
+pivots, and never builds the lattice's Hermite basis.  A chain is a cycle
+when its product with the cached d_1 vanishes (is_cycle), as the checker
+and the state sums of ktq.invariants test it.
 
 A differential that does not square to zero, or relators that do not span
 a subcomplex, raise MathError.  All arithmetic is exact.
@@ -271,15 +272,15 @@ def homology(X, n, v=HomologyVariant(), degree_cap=None):
 
 @lru_cache(maxsize=1)
 def _degree1_relations(X, v):
-    """im d_2 + R_1 of a quotient variant: d_2 of the cone of R -> C as sparse
-    columns over the triples (R_0 = 0), cached for a report's class checks
-    and cocycles.  Refuses what homology(X, 1, v) refuses: the relator set,
-    relators leaving R, or d_1 d_2 != 0."""
+    """im d_2 + R_1 of a quotient variant: the LatticeSolver of d_2 of the
+    cone of R -> C over the triples (R_0 = 0), cached so that a report's
+    class checks and cocycles share one unit elimination.  Refuses what
+    homology(X, 1, v) refuses: relator set, relators leaving R, d_1 d_2 != 0."""
     _check_variant(X, v)
     lattices = _RelatorLattices(X, v.relators, v.diff_kind)
     cols, _ = lattices.cone(2)
     _check_square(lattices.cone(1)[0], cols, 1)
-    return tuple(cols)
+    return LatticeSolver.from_columns(cols, X.order ** 3)
 
 
 class Cochain:
@@ -328,18 +329,10 @@ def two_cocycles(X, modulus, v):
     """
     if v.mode != "quotient" or v.diff_kind != "full":
         raise MathError("cocycles are defined for the quotient/full variants")
-    # imported here, on dense rows, because perfbench/tracing.py wraps
-    # ktq.intlinalg.kernel_mod by name after this module is loaded and
-    # sizes the dense matrix it is given
-    from .intlinalg import kernel_mod
-
     triples = chain_basis(X.order, 1)
-    n = len(triples)
-    rows = [[col.get(i, 0) for i in range(n)] for col in _degree1_relations(X, v)]
-    # kernel_mod returns nonzero vectors reduced mod the modulus
     return [
         Cochain(modulus, {triples[i]: x for i, x in enumerate(vec) if x})
-        for vec in kernel_mod(rows, modulus, n)
+        for vec in _degree1_relations(X, v).kernel_mod(modulus)
     ]
 
 
@@ -362,19 +355,16 @@ class HomologyClassChecker:
     """Decides equality of homology classes of degree-1 cycles.
 
     Two cycles are equal in the variant iff their difference lies in
-    im d_2 + R_1 (_degree1_relations), so only quotient variants are
-    decided, and only where homology(X, 1, v) is.  Each chain is tested
-    for a cycle through the cached d_1 (is_cycle), and the difference by
-    LatticeSolver.member, which never builds the lattice's Hermite basis.
+    im d_2 + R_1 (_degree1_relations, asked by LatticeSolver.member), so
+    only quotient variants are decided, and only where homology(X, 1, v)
+    is.  Each chain is tested for a cycle through the cached d_1.
     """
 
     def __init__(self, X, v=HomologyVariant("D", "quotient", "full")):
         if v.mode != "quotient":
             raise MathError("homology classes are compared in quotient mode only")
-        self.X = X
-        self.v = v
         self.index = triple_index(X.order)
-        self.solver = LatticeSolver.from_columns(_degree1_relations(X, v), len(self.index))
+        self.solver = _degree1_relations(X, v)
         self.d1 = boundary_columns(X, 1, v.diff_kind)
 
     def _check_cycle(self, c, name):

@@ -5,12 +5,11 @@ elementary divisors of sparse matrices, lattice membership and kernels
 Sparse matrices, lists of columns each a dict {row: nonzero coefficient},
 are the working format: one routine, _hermite, computes every Hermite form
 on them, and one, _eliminate_units, eliminates their unit pivots for
-elementary_divisors, kernel_mod and LatticeSolver, which decides
-membership by replaying that elimination on the query and builds the
-Hermite basis of the whole lattice only when basis, coordinates or solve
-need it.  Dense matrices, plain lists of row lists of Python ints,
-appear only at the adapters: column_hnf, lattice_basis, kernel_int,
-LatticeSolver(M, ncols), kernel_mod, and the Smith forms.  A dense matrix may have zero rows; pass ncols explicitly
+elementary_divisors and LatticeSolver, whose one elimination answers both
+membership and the mod-m kernel.  Dense matrices, plain lists of row
+lists of Python ints, appear only at the adapters: column_hnf,
+lattice_basis, kernel_int, LatticeSolver(M, ncols), kernel_mod, and the
+Smith forms.  A dense matrix may have zero rows; pass ncols explicitly
 whenever the column count cannot be read off the data.
 """
 
@@ -245,6 +244,15 @@ def _columns(M, ncols):
     return [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(ncols)]
 
 
+def _transpose(columns, nrows):
+    """The nrows rows {index: coeff} of sparse columns (index, {row: coeff})."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in columns:
+        for i, a in col.items():
+            rows[i][j] = a
+    return rows
+
+
 def dense_matrix(columns, nrows):
     """Sparse columns {row: coeff} as a dense list of rows."""
     M = [[0] * len(columns) for _ in range(nrows)]
@@ -255,15 +263,12 @@ def dense_matrix(columns, nrows):
 
 
 def column_hnf(M, ncols=None, transform=False):
-    """Column-style Hermite normal form of the lattice spanned by the
-    columns of M.
-
-    Returns (H, W, pivots) with H = M*W, W unimodular (or None when
+    """Column-style Hermite normal form of the columns of M, a dense view
+    of _hermite: (H, W, pivots) with H = M*W, W unimodular (or None when
     transform is False), and pivots a list of (row, col) positions with
     strictly increasing rows, positive pivot entries, and entries of earlier
     columns reduced to [0, pivot) in each pivot row.  Columns after the last
-    pivot are zero.  A dense view of _hermite.
-    """
+    pivot are zero."""
     m, n = _shape(M, ncols)
     basis, W = _hermite(_columns(M, n), transform)
     H = dense_matrix(basis + [{}] * (n - len(basis)), m)
@@ -280,14 +285,12 @@ def lattice_basis(M, ncols=None):
 class LatticeSolver:
     """Reusable exact solver for M*c = v against a fixed column lattice.
 
-    Membership (member, contains) carries the query through the row
-    operations of the columns' unit elimination (_eliminate_units, run
-    once), then tests what is left against the Hermite form of the residual
-    block, which has no unit entries.  The Hermite basis of the whole
-    lattice is built on the first access to basis, coordinates or solve,
-    and the unimodular transform back to coefficients of the columns of M
-    on the first solve() that finds a solution.  LatticeSolver(M, ncols)
-    takes a dense matrix, from_columns sparse columns.
+    One unit elimination of the transpose of M serves membership (member,
+    contains) and the mod-m kernel of the transpose (kernel_mod).  The
+    Hermite basis is built on the first access to basis, coordinates or
+    solve, and the transform back to coefficients of the columns of M on
+    the first solve() that finds a solution.  LatticeSolver(M, ncols) takes
+    a dense matrix, from_columns sparse columns.
     """
 
     def __init__(self, M, ncols=None):
@@ -315,19 +318,55 @@ class LatticeSolver:
             self._pivot = {min(col): k for k, col in enumerate(self._basis)}
         return self._basis
 
+    def _eliminate(self):
+        """The unit pivots of the transpose, whose columns are the rows of M;
+        the residual lattice is the transpose of what they leave."""
+        if self._units is None:
+            rows = _transpose(enumerate(self._columns), self.nrows)
+            self._units, self._left = _eliminate_units(rows, self.ncols)
+            residual = _transpose(self._left.items(), self.ncols)
+            self._residual = LatticeSolver.from_columns(residual, self.nrows)
+        return self._units
+
     def member(self, residue):
         """Whether a sparse vector {row: coeff} lies in the lattice."""
-        if self._units is None:
-            self._units, cols = _eliminate_units(self._columns, self.nrows)
-            self._residual = LatticeSolver.from_columns(list(cols.values()), self.nrows)
         res = {i: a for i, a in residue.items() if a}
-        for _, u, _, p, pcol in self._units:
-            # row i -= (a / u) * row p for each entry a of the pivot column,
-            # then row p leaves: the unit column spans it
-            x = res.pop(p, 0)
+        for j, u, prow, _, _ in self._eliminate():
+            # the pivot column, u e_j + prow, is the last one in row j
+            x = res.pop(j, 0)
             if x:
-                _axpy(res, -u * x, pcol)
+                _axpy(res, -u * x, prow)
         return self._residual.coordinates(res) is not None
+
+    def kernel_mod(self, modulus):
+        """Generators of {x : c.x = 0 mod modulus for each column c}, dense,
+        reduced mod modulus, correct for composite moduli.  The Smith form
+        U*R*V = D of the residual block gives the generators
+        (m / gcd(d_j, m)) * V e_j of its kernel; each unit pivot, invertible
+        mod every m, then fills in its coordinate in reverse order.  For
+        prime m there are nrows - rank_m(M) of them."""
+        if modulus < 2:
+            raise MathError("modulus must be >= 2")
+        pivots, n = self._eliminate(), self.nrows
+        eliminated = {pivot[0] for pivot in pivots}
+        free = [j for j in range(n) if j not in eliminated]
+        R = _dense_block(self._left, free)
+        _, D, V = _snf(R, len(free), False, True)
+        gens = []
+        for c in range(len(free)):
+            d = D[c][c] if c < len(R) else 0
+            k = modulus // gcd(d, modulus)
+            if k == modulus:
+                continue  # only the zero residue class
+            x = [0] * n
+            for r, j in enumerate(free):
+                x[j] = V[r][c] * k % modulus
+            for j, u, prow, _, _ in reversed(pivots):
+                # u*x_j + sum prow[i]*x_i = 0 and 1/u == u for a unit u
+                x[j] = -u * sum(a * x[i] for i, a in prow.items()) % modulus
+            if any(x):
+                gens.append(x)
+        return gens
 
     def coordinates(self, residue):
         """Integer coefficients {basis index: q} of a sparse vector
@@ -382,39 +421,9 @@ def kernel_int(M, ncols=None):
 
 def kernel_mod(M, modulus, ncols=None):
     """A generating set of {x : M*x = 0 mod modulus}, vectors reduced mod
-    modulus, correct for composite moduli.
-
-    The equations are reduced by sparse elimination of +-1 pivots first
-    (as in elementary_divisors).  A unit is invertible mod every m, so
-    each pivot row expresses one variable through the others.  Only the
-    residual block goes to the integer Smith form U*R*V = D, whose columns
-    give the generators (m / gcd(d_j, m)) * V e_j of its kernel; the
-    eliminated variables are then filled in by back-substitution in
-    reverse order.  For prime m there are n - rank_m(M) generators.
-    """
-    if modulus < 2:
-        raise MathError("modulus must be >= 2")
-    m, n = _shape(M, ncols)
-    pivots, cols = _eliminate_units(_columns(M, n), m)
-    eliminated = {pivot[0] for pivot in pivots}
-    free = [j for j in range(n) if j not in eliminated]
-    R = _dense_block(cols, free)
-    _, D, V = _snf(R, len(free), False, True)
-    gens = []
-    for c in range(len(free)):
-        d = D[c][c] if c < len(R) else 0
-        k = modulus // gcd(d, modulus)
-        if k == modulus:
-            continue  # only the zero residue class
-        x = [0] * n
-        for r, j in enumerate(free):
-            x[j] = V[r][c] * k % modulus
-        for j, u, prow, _, _ in reversed(pivots):
-            # u*x_j + sum prow[i]*x_i = 0 and 1/u == u for a unit u
-            x[j] = -u * sum(a * x[i] for i, a in prow.items()) % modulus
-        if any(x):
-            gens.append(x)
-    return gens
+    modulus: the dense view of LatticeSolver.kernel_mod over the rows of M."""
+    rows = [{j: a for j, a in enumerate(row) if a} for row in M]
+    return LatticeSolver.from_columns(rows, _shape(M, ncols)[1]).kernel_mod(modulus)
 
 
 def cokernel(M, ncols=None):

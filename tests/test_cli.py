@@ -292,6 +292,21 @@ def test_oversized_coloring_search_is_refused_before_it_starts(tmp_path, capsys)
     assert "needs 3^40 search leaves" in capsys.readouterr().err
 
 
+def test_an_oversized_class_check_join_is_refused(monkeypatch, tmp_path, capsys):
+    # two crossing-free diagrams of 2 regions and an empty correspondence:
+    # 9 x 9 matched pairs, each a class check
+    (tmp_path / "two.dg").write_text("diagram 2\n")
+    (tmp_path / "empty.corr").write_text("")
+    argv = ["compare", fixture_path("z3linear.ktq"), str(tmp_path / "two.dg"),
+            str(tmp_path / "two.dg"), "--correspondence", str(tmp_path / "empty.corr")]
+    code, out = run(*argv)
+    assert code == 0 and "classes.checked 81\n" in out
+    monkeypatch.setattr(ktq.diagram, "MAX_LEAVES", 80)
+    code, out = run(*argv)
+    assert (code, out) == (3, "")
+    assert "81 coloring pairs, more than 80" in capsys.readouterr().err
+
+
 def test_homology_of_a_non_ktq_exits_3(capsys):
     code, out = run("homology", fixture_path("z3sum.ktq"), "--degree", "1")
     assert code == 3 and out == ""

@@ -9,7 +9,7 @@ import pytest
 
 import ktq.diagram
 from ktq import MathError
-from ktq.diagram import Crossing, Diagram, brute_force_colorings, colorings
+from ktq.diagram import Crossing, Diagram, brute_force_colorings, colorings, join_colorings
 
 from test_invariance_property import closure
 
@@ -110,3 +110,16 @@ def test_a_search_with_too_many_leaves_is_refused(monkeypatch, z3linear, order1)
     assert len(colorings(Diagram(3, (P(0, 0, 1, 2),)), z3linear)) == 9
     with pytest.raises(MathError):
         colorings(Diagram(3, ()), z3linear)
+
+
+def test_an_oversized_join_is_refused_before_it_is_built(monkeypatch, z3linear):
+    # without correspondence pairs, every coloring of one crossing-free
+    # diagram matches every coloring of the other: 9 x 9 pairs
+    d = Diagram(2, ())
+    cols = colorings(d, z3linear)
+    assert len(join_colorings(d, d, cols, cols, [])) == 81
+    monkeypatch.setattr(ktq.diagram, "MAX_LEAVES", 80)
+    with pytest.raises(MathError, match="81 coloring pairs, more than 80"):
+        join_colorings(d, d, cols, cols, [])
+    # a pair splits the hash groups: 9 groups of 3 x 3
+    assert len(join_colorings(d, d, cols, cols, [(0, 1)])) == 27

@@ -55,7 +55,7 @@ def test_relations_span_the_dense_assembly(name):
     # the Hermite basis is canonical, so equal bases mean equal lattices
     X = load_algebra(name + ".ktq")
     for v in quotient_variants(X):
-        cols = _degree1_relations(X, v)
+        cols = _degree1_relations(X, v)._columns
         got = lattice_basis(dense_matrix(cols, X.order ** 3), len(cols))
         assert got == lattice_basis(dense_assembly(X, v)), v
 
@@ -112,6 +112,39 @@ def test_compare_builds_the_relation_lattice_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_compare_eliminates_the_relation_lattice_once(monkeypatch):
+    # the class checks and the mod-m cocycles read one unit elimination, on
+    # the sparse columns: no dense matrix is converted back to columns
+    intlinalg = importlib.import_module("ktq.intlinalg")
+    eliminate = intlinalg._eliminate_units
+    columns_eliminated = []
+
+    def counted(columns, nrows):
+        columns_eliminated.append(len(columns))
+        return eliminate(columns, nrows)
+
+    def refused_conversion(M, ncols):
+        raise AssertionError("intlinalg._columns called")
+
+    monkeypatch.setattr(intlinalg, "_eliminate_units", counted)
+    monkeypatch.setattr(intlinalg, "_columns", refused_conversion)
+    _degree1_relations.cache_clear()
+    for alg, order, after, before, corr, variant, m in [
+        ("z5affine.ktq", 5, "r3_after.dg", "r3_before.dg", "r3.corr", "N", "5"),
+        ("z3linear.ktq", 3, "fr3_after.dg", "fr3_before.dg", "fr3.corr", "NID", "3"),
+    ]:
+        columns_eliminated.clear()
+        code = cli_main(
+            ["compare", fixture_path(alg), fixture_path(after), fixture_path(before),
+             "--variant", variant, "--correspondence", fixture_path(corr), "--mod", m],
+            io.StringIO(),
+        )
+        assert code == 0
+        # one elimination, of the transpose: a column per triple
+        assert columns_eliminated == [order ** 3]
+    _degree1_relations.cache_clear()
+
+
 def sampled_vectors(cols, nrows, rng):
     """Sparse vectors over the rows of the lattice spanned by cols: small
     combinations of its columns, the same with one entry moved, doubled
@@ -145,7 +178,7 @@ def test_membership_by_elimination_matches_the_hermite_form_and_the_oracle(name)
             v = HomologyVariant(relators, "quotient", kind)
             if refused(lambda: homology(X, 1, v)):
                 continue
-            cols = list(_degree1_relations(X, v))
+            cols = list(_degree1_relations(X, v)._columns)
             solver = LatticeSolver.from_columns(cols, nrows)
             hermite = LatticeSolver.from_columns(cols, nrows)
             oracle = hnf_oracle.DenseLatticeSolver(dense_matrix(cols, nrows), len(cols))

@@ -27,22 +27,25 @@ def test_no_assert_statements_in_the_package():
 
 def _functions_where(predicate):
     """Names 'module.function' of the innermost functions under src/ktq/
-    holding a node that satisfies predicate."""
+    holding a node that satisfies predicate; a method is named
+    'module.Class.method'."""
     found = []
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
         module = os.path.basename(path)[:-3]
 
-        def visit(node, owner):
+        def visit(node, owner, scope):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = "%s.%s" % (module, node.name)
+                owner = "%s.%s" % (scope, node.name)
+            if isinstance(node, ast.ClassDef):
+                scope = "%s.%s" % (scope, node.name)
             if predicate(node):
                 found.append(owner)
             for child in ast.iter_child_nodes(node):
-                visit(child, owner)
+                visit(child, owner, scope)
 
-        visit(tree, module)
+        visit(tree, module, module)
     return found
 
 
@@ -64,8 +67,8 @@ def test_one_function_splits_input_into_lines_and_cuts_comments():
 
 
 def test_one_function_tests_for_unit_pivots():
-    # elementary_divisors, kernel_mod and LatticeSolver share one unit
-    # elimination, intlinalg._eliminate_units
+    # elementary_divisors and LatticeSolver share one unit elimination,
+    # intlinalg._eliminate_units
     def unit(node):
         return isinstance(node, ast.Constant) and node.value == 1 or (
             isinstance(node, ast.UnaryOp)
@@ -88,6 +91,17 @@ def test_one_function_tests_for_unit_pivots():
         return False
 
     assert _functions_where(unit_test) == ["intlinalg._eliminate_units"]
+
+
+def test_unit_elimination_has_two_callers():
+    # a lattice is eliminated by its LatticeSolver, which answers both
+    # membership and the mod-m kernel, or by elementary_divisors
+    def calls(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_eliminate_units"
+
+    assert sorted(_functions_where(calls)) == [
+        "intlinalg.LatticeSolver._eliminate", "intlinalg.elementary_divisors"
+    ]
 
 
 def test_invariants_read_no_crossing_data():
