@@ -58,6 +58,7 @@ def test_enumeration_matches_the_brute_force_oracle(n, filt, dedup):
 
 
 @pytest.mark.parametrize("filt, dedup, count", [
+    ("all_quasigroups", False, 55296),
     ("all_quasigroups", True, 2589),
     ("ktq", True, 37),
     ("ktq", False, 168),
@@ -105,6 +106,29 @@ def test_order5_iktq_dedup_holds_exactly_the_affine_iktqs_over_z5():
 ])
 def test_order4_dedup_output_digest(filt, digest):
     code, out = run_cli("enumerate", "--order", "4", "--filter", filt, "--dedup")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the sha256 of `ktq enumerate` stdout without --dedup, frozen while the
+# search without dedup still ran unpruned
+@pytest.mark.parametrize("n, filt, digest", [
+    (1, "all_quasigroups", "f5c7676a4311e6a54f3d3764a87f28294c8f7be70e42f22fcfba9c9eb98fd042"),
+    (1, "ktq", "f5c7676a4311e6a54f3d3764a87f28294c8f7be70e42f22fcfba9c9eb98fd042"),
+    (1, "iktq", "f5c7676a4311e6a54f3d3764a87f28294c8f7be70e42f22fcfba9c9eb98fd042"),
+    (2, "all_quasigroups", "16c11b4a9c60e7a6c6a51df58a970e0ba61130fa8a8b7c4ef846b57076d0cb2a"),
+    (2, "ktq", "16c11b4a9c60e7a6c6a51df58a970e0ba61130fa8a8b7c4ef846b57076d0cb2a"),
+    (2, "iktq", "16c11b4a9c60e7a6c6a51df58a970e0ba61130fa8a8b7c4ef846b57076d0cb2a"),
+    (3, "all_quasigroups", "6f6aebaf10aa92c12271466075bbd6da30cc1700c81fd9717c85793e679e6029"),
+    (3, "ktq", "c6eaebc4e3b5fbc27a7979eed39a937f7ff8e15d8359091d8a6589a66891f617"),
+    (3, "iktq", "3c6c261dd918d69bf36df87b55dc577414e98176f1c24c02c5b467c220bc5263"),
+    (4, "all_quasigroups", "ba7badbed717f24596f07a20caea67952a73a330fa43adaac4ca83bf73cbb058"),
+    (4, "ktq", "46ebee2de9e5ad8fd1fcaabb1c93e4b25de3e62accd396a80b95adefdceae5cc"),
+    (4, "iktq", "075d001901eec3f84441ffb4972b9f2d6d47a85e1d6e80e577872da6adcb6560"),
+    (5, "iktq", "25dd5e18406b11f440e364e9d4c2efb997e85c196a897fafe82a9551adc7002a"),
+])
+def test_enumerate_output_digest_without_dedup(n, filt, digest):
+    code, out = run_cli("enumerate", "--order", str(n), "--max-order", "5", "--filter", filt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
