@@ -322,28 +322,26 @@ def _wake(v, n, watch, pos):
     return moved
 
 
-def _checked_latin_tables(n, axioms, dedup):
-    """Value tuples of every order-n table whose three slot maps are
-    bijections and on which every instance of the given axioms holds, in
-    lexicographic order; with dedup, only the least table of each
-    relabeling orbit.
+def _checked_latin_tables(n, axioms):
+    """Value tuples of the least table of each relabeling orbit of the
+    order-n tables whose three slot maps are bijections and on which every
+    instance of the given axioms holds, in lexicographic order.
 
     Entries are filled in index order with ascending values (an explicit
     stack, no recursion).  Each axiom instance waits on the first unfilled
     entry it reads, so a violated instance prunes the branch as soon as the
-    entries it reads are filled (forward checking).  With dedup, each
-    non-identity relabeling is one more instance, its lex-leader test
-    (Crawford, Ginsberg, Luks & Roy, KR 1996): a prefix that some
-    relabeling already makes smaller is pruned, which drops no least
-    table, and on a full table the test is exact.
+    entries it reads are filled (forward checking).  Each non-identity
+    relabeling is one more instance, its lex-leader test (Crawford,
+    Ginsberg, Luks & Roy, KR 1996): a prefix that some relabeling already
+    makes smaller is pruned, which drops no least table, and on a full
+    table the test is exact.
     """
     total = n ** 3
     v = [None] * total
     watch = [[] for _ in range(total)]
     checks = [(_evaluate, axiom, args)
               for axiom in axioms for args in product(range(n), repeat=axiom.arity)]
-    if dedup:
-        checks += [(_evaluate_relabeling, perm, src) for perm, src in _relabelings(n)[1:]]
+    checks += [(_evaluate_relabeling, perm, src) for perm, src in _relabelings(n)[1:]]
     for check in checks:
         evaluate, a, b = check
         watch[evaluate(v, n, a, b)].append(check)
@@ -420,15 +418,16 @@ def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
 
     filt selects 'all_quasigroups', 'ktq' (A3L and A3R) or 'iktq' (also
     T = M).  The axioms are checked inside the Latin search, each instance
-    as soon as the entries it reads are filled.  With dedup=True only the
-    lexicographically minimal representative of each relabeling orbit is
-    emitted: the search prunes every prefix that a relabeling makes
-    smaller, and canonical_form confirms each table it reaches.  Orders
-    above max_order are rejected; pass a larger max_order explicitly to
-    override.  On a 2-core Xeon VM with Python 3.11, order 5 with dedup
-    takes about 13 s with the 'ktq' filter and under a second with
-    'iktq'; without dedup the search prunes only on the axioms and takes
-    about 10 s with 'iktq' and about 25 minutes with 'ktq'.
+    as soon as the entries it reads are filled, and the search prunes
+    every prefix that a relabeling makes smaller, so it reaches only the
+    least table of each relabeling orbit; canonical_form confirms each.
+    With dedup=True those least tables are returned.  Otherwise every
+    filter, being the Latin property plus equations in T, is closed under
+    relabeling, so the tables that pass it are the orbits of the least
+    ones, returned sorted.  Orders above max_order are rejected; pass a
+    larger max_order explicitly to override.  On a 2-core Xeon VM with
+    Python 3.11, order 5 takes about 12 s with the 'ktq' filter and under
+    a second with 'iktq', with or without dedup.
     """
     if filt not in FILTER_AXIOMS:
         raise ValueError("unknown filter %r" % (filt,))
@@ -439,13 +438,12 @@ def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
             "order %d exceeds the enumeration cap %d; raise max_order to override"
             % (n, max_order)
         )
-    out = []
-    for values in _checked_latin_tables(n, FILTER_AXIOMS[filt], dedup):
-        t = OpTable(n, values)
-        if dedup and canonical_form(t) != values:
-            continue
-        out.append(t)
-    return out
+    tables = [v for v in _checked_latin_tables(n, FILTER_AXIOMS[filt])
+              if canonical_form(OpTable(n, v)) == v]
+    if not dedup:
+        tables = sorted({tuple(perm[v[s]] for s in src)
+                         for v in tables for perm, src in _relabelings(n)})
+    return [OpTable(n, v) for v in tables]
 
 
 def parse_algebra(text):

@@ -10,7 +10,7 @@ import os
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,8 +53,9 @@ def run_cli(*argv):
 def test_enumeration_matches_the_brute_force_oracle(n, filt, dedup):
     expect = [t.values for t in oracle.enumerate_ktqs(n, filt, dedup)]
     assert [t.values for t in enumerate_ktqs(n, filt, dedup)] == expect
-    # the search alone: with dedup, lex-leader pruning leaves only least tables
-    assert list(_checked_latin_tables(n, FILTER_AXIOMS[filt], dedup)) == expect
+    # the search alone: lex-leader pruning leaves only least tables
+    least = [t.values for t in oracle.enumerate_ktqs(n, filt, True)]
+    assert list(_checked_latin_tables(n, FILTER_AXIOMS[filt])) == least
 
 
 @pytest.mark.parametrize("filt, dedup, count", [
@@ -69,8 +70,8 @@ def test_order4_counts(filt, dedup, count):
     tables = order4(filt, dedup)
     assert len(tables) == count
     assert tables == sorted(set(tables))
-    if dedup:  # the search alone, before enumerate_ktqs asks canonical_form
-        assert list(_checked_latin_tables(4, FILTER_AXIOMS[filt], True)) == tables
+    # the search alone, before enumerate_ktqs asks canonical_form
+    assert list(_checked_latin_tables(4, FILTER_AXIOMS[filt])) == order4(filt, True)
 
 
 def test_order4_latin_dedup_digest():
@@ -145,6 +146,24 @@ def test_order4_contains_exactly_the_affine_ktqs_over_z4():
         values = affine_table(4, *u).values
         assert (values in order4("ktq", False)) == (u in ktq), u
         assert (values in order4("iktq", False)) == (u in iktq), u
+
+
+def relabel(values, n, perm):
+    """The table perm(T(perm^-1 x, perm^-1 y, perm^-1 z)), by definition."""
+    t, inv = OpTable(n, values), [perm.index(x) for x in range(n)]
+    return OpTable.from_function(n, lambda x, y, z: perm[t(inv[x], inv[y], inv[z])]).values
+
+
+@pytest.mark.parametrize("filt", ["ktq", "iktq"])
+def test_order4_output_is_the_orbits_of_the_dedup_list(filt):
+    # beyond the oracle's reach: relabelings, canonical forms and
+    # automorphism groups by brute force
+    tables, least = order4(filt, False), order4(filt, True)
+    assert {oracle.canonical_form(OpTable(4, v)) for v in tables} <= set(least)
+    perms = list(permutations(range(4)))
+    assert {relabel(v, 4, perm) for v in tables for perm in perms} == set(tables)
+    automorphisms = [sum(relabel(v, 4, perm) == v for perm in perms) for v in least]
+    assert len(tables) == sum(24 // a for a in automorphisms)
 
 
 LATIN = list(oracle.latin_tables(3)) + [

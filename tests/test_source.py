@@ -104,6 +104,18 @@ def test_unit_elimination_has_two_callers():
     ]
 
 
+def test_one_latin_search_path():
+    # the Latin search always prunes to the least table of each relabeling
+    # orbit; dedup only chooses whether enumerate_ktqs expands the orbits
+    def takes_dedup(node):
+        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and any(
+            a.arg == "dedup" for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        )
+
+    owners = _functions_where(takes_dedup)
+    assert [owner for owner in owners if owner.startswith("algebra.")] == ["algebra.enumerate_ktqs"]
+
+
 def test_invariants_read_no_crossing_data():
     # the crossing-sign rule lives in diagram.associated_chain alone: the
     # class checks and state sums read the chains it builds
