@@ -331,7 +331,7 @@ class LatticeSolver:
     def member(self, residue):
         """Whether a sparse vector {row: coeff} lies in the lattice."""
         res = {i: a for i, a in residue.items() if a}
-        for j, u, prow, _, _ in self._eliminate():
+        for j, u, prow in self._eliminate():
             # the pivot column, u e_j + prow, is the last one in row j
             x = res.pop(j, 0)
             if x:
@@ -361,7 +361,7 @@ class LatticeSolver:
             x = [0] * n
             for r, j in enumerate(free):
                 x[j] = V[r][c] * k % modulus
-            for j, u, prow, _, _ in reversed(pivots):
+            for j, u, prow in reversed(pivots):
                 # u*x_j + sum prow[i]*x_i = 0 and 1/u == u for a unit u
                 x[j] = -u * sum(a * x[i] for i, a in prow.items()) % modulus
             if any(x):
@@ -443,10 +443,9 @@ def _eliminate_units(columns, nrows):
     row, to keep the fill low (Dumas, Heckenbach, Saunders and Welker,
     2003).  Row operations clear the rest of its column; the pivot row and
     column then leave the matrix.  Returns (pivots, cols): pivots lists
-    (j, u, prow, p, pcol) in elimination order, for the pivot u in column j
-    and row p, with the rest of its row, prow {col: coeff}, and of its
-    column, pcol {row: coeff}, at that step; cols maps each column left
-    with nonzero entries to them.
+    (j, u, prow) in elimination order, for the pivot u in column j, with
+    the rest of its row, prow {col: coeff}, at that step; cols maps each
+    column left with nonzero entries to them.
     """
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows = [dict() for _ in range(nrows)]
@@ -494,7 +493,7 @@ def _eliminate_units(columns, nrows):
                 heappush(heap, (len(ck), k))
             else:
                 del cols[k]
-        pivots.append((j, u, prow, p, col))
+        pivots.append((j, u, prow))
     return pivots, cols
 
 

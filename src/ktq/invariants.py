@@ -107,6 +107,9 @@ def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
     counts_equal = n1 == n2
     rows.append(("colorings.equal", "yes" if counts_equal else "no"))
 
+    if correspondence is not None:
+        # join first: an oversized join is refused before any chain is built
+        matched = matched_colorings(d1, d2, cols1, cols2, correspondence)
     cocycles = tuple(cocycles)
     chains1 = chains2 = {}
     if correspondence is not None or cocycles:
@@ -117,7 +120,6 @@ def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
     classes_equal = True
     if correspondence is not None:
         checker = HomologyClassChecker(X, variant)
-        matched = matched_colorings(d1, d2, cols1, cols2, correspondence)
         equal = [checker.equal(chains1[c1], chains2[c2]) for c1, c2 in matched]
         classes_equal = all(equal)
         rows.append(("classes.checked", str(len(equal))))

@@ -307,6 +307,19 @@ def test_an_oversized_class_check_join_is_refused(monkeypatch, tmp_path, capsys)
     assert "81 coloring pairs, more than 80" in capsys.readouterr().err
 
 
+def test_an_oversized_join_is_refused_before_any_chain_is_built(monkeypatch, tmp_path, capsys):
+    # 27 x 27 matched pairs over 3-region crossing-free diagrams
+    (tmp_path / "three.dg").write_text("diagram 3\n")
+    (tmp_path / "empty.corr").write_text("")
+    built = []
+    monkeypatch.setattr(ktq.invariants, "associated_chain", lambda *args: built.append(args))
+    monkeypatch.setattr(ktq.diagram, "MAX_LEAVES", 100)
+    code, out = run("compare", fixture_path("z3linear.ktq"), str(tmp_path / "three.dg"),
+                    str(tmp_path / "three.dg"), "--correspondence", str(tmp_path / "empty.corr"))
+    assert (code, out, built) == (3, "", [])
+    assert "729 coloring pairs, more than 100" in capsys.readouterr().err
+
+
 def test_homology_of_a_non_ktq_exits_3(capsys):
     code, out = run("homology", fixture_path("z3sum.ktq"), "--degree", "1")
     assert code == 3 and out == ""
