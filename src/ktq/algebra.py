@@ -417,17 +417,14 @@ def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
     filter, in lexicographic order of their value tuples.
 
     filt selects 'all_quasigroups', 'ktq' (A3L and A3R) or 'iktq' (also
-    T = M).  The axioms are checked inside the Latin search, each instance
-    as soon as the entries it reads are filled, and the search prunes
-    every prefix that a relabeling makes smaller, so it reaches only the
-    least table of each relabeling orbit; canonical_form confirms each.
-    With dedup=True those least tables are returned.  Otherwise every
-    filter, being the Latin property plus equations in T, is closed under
-    relabeling, so the tables that pass it are the orbits of the least
-    ones, returned sorted.  Orders above max_order are rejected; pass a
-    larger max_order explicitly to override.  On a 2-core Xeon VM with
-    Python 3.11, order 5 takes about 12 s with the 'ktq' filter and under
-    a second with 'iktq', with or without dedup.
+    T = M).  The Latin search reaches only the least table of each
+    relabeling orbit, and canonical_form confirms each; with dedup=True
+    those are returned.  Each filter is the Latin property plus equations
+    in T, hence closed under relabeling, so without dedup the orbits of
+    the least tables are returned, sorted.  Orders above max_order are
+    rejected; pass a larger max_order explicitly to override.  On a 2-core
+    Xeon VM with Python 3.11, order 5 takes about 12 s with the 'ktq'
+    filter and under a second with 'iktq', with or without dedup.
     """
     if filt not in FILTER_AXIOMS:
         raise ValueError("unknown filter %r" % (filt,))
