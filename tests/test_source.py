@@ -108,9 +108,9 @@ def test_one_latin_search_path():
     # the Latin search always prunes to the least table of each relabeling
     # orbit; dedup only chooses whether enumerate_ktqs expands the orbits
     def takes_dedup(node):
-        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and any(
-            a.arg == "dedup" for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-        )
+        return isinstance(node, ast.FunctionDef) and "dedup" in [
+            a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        ]
 
     owners = _functions_where(takes_dedup)
     assert [owner for owner in owners if owner.startswith("algebra.")] == ["algebra.enumerate_ktqs"]
