@@ -453,9 +453,6 @@ def parse_algebra(text):
 def serialize_algebra(t):
     """Render an OpTable in the algebra file format (canonical layout:
     one line of order entries per (i, j) pair)."""
-    n = t.order
-    lines = ["ktq %d" % n]
-    for i in range(n):
-        for j in range(n):
-            lines.append(" ".join(str(t(i, j, k)) for k in range(n)))
-    return "\n".join(lines) + "\n"
+    n, entries = t.order, list(map(str, t.values))
+    rows = (" ".join(entries[r:r + n]) for r in range(0, n ** 3, n))
+    return "ktq %d\n" % n + "\n".join(rows) + "\n"

@@ -5,31 +5,39 @@ Exit codes: 0 success, 1 usage error, 2 input format error, 3 mathematical
 precondition failure, 4 internal error (any other exception; a bug, reported
 in one line without a traceback).  Diagnostics go to stderr, results to
 stdout.
+
+A process loads only what its subcommand runs: ``verify`` and ``enumerate``
+need ktq.algebra alone, ``homology`` and ``cocycles`` add the homology
+engine, and only the diagram commands load ktq.diagram and ktq.invariants.
 """
 
 import argparse
 import sys
 
-from .algebra import (
-    FILTER_AXIOMS,
-    classify,
-    enumerate_ktqs,
-    parse_algebra,
-    serialize_algebra,
-)
-from .diagram import colorings, parse_correspondence, parse_diagram
+from .algebra import FILTER_AXIOMS, classify, enumerate_ktqs, parse_algebra, serialize_algebra
 from .errors import FormatError, MathError
-from .homology import (
-    DIFF_CHOICES,
-    NAMED_VARIANTS,
-    RELATOR_CHOICES,
-    HomologyVariant,
-    homology,
-    parse_cocycle,
-    serialize_cocycle,
-    two_cocycles,
-)
-from .invariants import invariant_report, render_report, state_sum
+from .variants import DIFF_CHOICES, NAMED_VARIANTS, RELATOR_CHOICES, HomologyVariant
+
+# The names of these modules are bound here on first lookup (PEP 562), so a
+# subcommand loads only the modules it runs.  Handlers call them as attributes
+# of _cli, never as bare globals: perfbench/tracing.py looks them up on ktq.cli
+# by name and replaces them with its wrappers.
+_LAZY = {
+    "homology": "homology parse_cocycle serialize_cocycle two_cocycles",
+    "diagram": "colorings parse_correspondence parse_diagram",
+    "invariants": "invariant_report render_report state_sum",
+}
+_SOURCE = {name: module for module, names in _LAZY.items() for name in names.split()}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    # from .module import name, spelled so that -X importtime reports it
+    module = __import__(_SOURCE[name], globals(), None, (name,), 1)
+    globals()[name] = value = getattr(module, name)
+    return value
 
 
 class UsageError(Exception):
@@ -105,20 +113,10 @@ def _yn(flag):
 
 def _cmd_verify(args, out):
     q = _load_algebra(args.algebra)
-    suffix = ""
-    if q.is_iktq:
-        suffix = " (IKTQ)"
-    elif q.is_ktq:
-        suffix = " (KTQ)"
+    suffix = " (IKTQ)" if q.is_iktq else " (KTQ)" if q.is_ktq else ""
+    flags = (q.is_quasigroup, q.satisfies_a3l, q.satisfies_a3r, q.is_involutory)
     out.write(
-        "quasigroup: %s, A3L: %s, A3R: %s, involutory: %s%s\n"
-        % (
-            _yn(q.is_quasigroup),
-            _yn(q.satisfies_a3l),
-            _yn(q.satisfies_a3r),
-            _yn(q.is_involutory),
-            suffix,
-        )
+        "quasigroup: %s, A3L: %s, A3R: %s, involutory: %s%s\n" % (*map(_yn, flags), suffix)
     )
     return 0
 
@@ -141,15 +139,15 @@ def _cmd_homology(args, out):
         mode="subcomplex" if args.mode == "sub" else "quotient",
         diff_kind=args.diff,
     )
-    group = homology(X, args.degree, v, degree_cap=args.degree_cap)
+    group = _cli.homology(X, args.degree, v, degree_cap=args.degree_cap)
     out.write(str(group) + "\n")
     return 0
 
 
 def _cmd_color(args, out):
     X = _load_algebra(args.algebra)
-    d = parse_diagram(_read(args.diagram))
-    cols = colorings(d, X)
+    d = _cli.parse_diagram(_read(args.diagram))
+    cols = _cli.colorings(d, X)
     out.write("colorings %d\n" % len(cols))
     if args.list_all:
         for col in cols:
@@ -160,37 +158,37 @@ def _cmd_color(args, out):
 def _cmd_cocycles(args, out):
     X = _load_algebra(args.algebra)
     v = HomologyVariant(args.relators, "quotient", "full")
-    gens = two_cocycles(X, args.mod, v)
+    gens = _cli.two_cocycles(X, args.mod, v)
     out.write("# generators %d\n" % len(gens))
     for phi in gens:
-        out.write(serialize_cocycle(phi))
+        out.write(_cli.serialize_cocycle(phi))
         out.write("\n")
     return 0
 
 
 def _cmd_statesum(args, out):
     X = _load_algebra(args.algebra)
-    d = parse_diagram(_read(args.diagram))
-    phi = parse_cocycle(_read(args.cocycle))
-    out.write(state_sum(d, X, phi).render() + "\n")
+    d = _cli.parse_diagram(_read(args.diagram))
+    phi = _cli.parse_cocycle(_read(args.cocycle))
+    out.write(_cli.state_sum(d, X, phi).render() + "\n")
     return 0
 
 
 def _cmd_compare(args, out):
     X = _load_algebra(args.algebra)
-    d1 = parse_diagram(_read(args.d1))
-    d2 = parse_diagram(_read(args.d2))
+    d1 = _cli.parse_diagram(_read(args.d1))
+    d2 = _cli.parse_diagram(_read(args.d2))
     variant = NAMED_VARIANTS[args.variant]
     correspondence = None
     if args.correspondence:
-        correspondence = parse_correspondence(_read(args.correspondence))
+        correspondence = _cli.parse_correspondence(_read(args.correspondence))
     cocycles = ()
     if args.mod is not None:
-        cocycles = two_cocycles(X, args.mod, variant)
-    rows = invariant_report(
+        cocycles = _cli.two_cocycles(X, args.mod, variant)
+    rows = _cli.invariant_report(
         d1, d2, X, variant=variant, correspondence=correspondence, cocycles=cocycles
     )
-    out.write(render_report(rows))
+    out.write(_cli.render_report(rows))
     return 0
 
 

@@ -33,45 +33,20 @@ A differential that does not square to zero, or relators that do not span
 a subcomplex, raise MathError.  All arithmetic is exact.
 """
 
-from collections import namedtuple
 from functools import lru_cache
 from .chains import SIDES, all_tuples, face_entries, relator_generators
 from .errors import FormatError, MathError, integers, read_records
 from .intlinalg import AbelianGroup, LatticeSolver, dense_matrix, elementary_divisors
+from .variants import HomologyVariant
+
+# Re-exported: the variant names live in ktq.variants, which the command
+# line reads without loading this module.
+from .variants import DIFF_CHOICES, MODE_CHOICES, NAMED_VARIANTS, RELATOR_CHOICES  # noqa: F401
 
 # Unused here, but looked up in this module by name: perfbench/tracing.py
 # wraps them where they are bound.
 from .chains import boundary, boundary_tuple  # noqa: F401
 from .intlinalg import cokernel, kernel_int, lattice_basis  # noqa: F401
-
-RELATOR_CHOICES = ("none", "D", "I", "ID")
-MODE_CHOICES = ("quotient", "subcomplex")
-DIFF_CHOICES = ("L", "R", "full")
-
-
-class HomologyVariant(namedtuple("HomologyVariant", "relators mode diff_kind")):
-    """A homology variant: relators (one of RELATOR_CHOICES), mode (one of
-    MODE_CHOICES) and diff_kind (one of DIFF_CHOICES), all str."""
-
-    __slots__ = ()
-
-    def __new__(cls, relators="none", mode="quotient", diff_kind="full"):
-        if relators not in RELATOR_CHOICES:
-            raise ValueError("unknown relator set %r" % (relators,))
-        if mode not in MODE_CHOICES:
-            raise ValueError("unknown mode %r" % (mode,))
-        if diff_kind not in DIFF_CHOICES:
-            raise ValueError("unknown differential kind %r" % (diff_kind,))
-        return super().__new__(cls, relators, mode, diff_kind)
-
-
-#: Shorthand names used by the command line and the invariance lemmas.
-NAMED_VARIANTS = {
-    "plain": HomologyVariant("none", "quotient", "full"),
-    "N": HomologyVariant("D", "quotient", "full"),
-    "NI": HomologyVariant("I", "quotient", "full"),
-    "NID": HomologyVariant("ID", "quotient", "full"),
-}
 
 
 def chain_basis(order, n):

@@ -220,6 +220,7 @@ def test_check_a3_matches_the_literal_equations(t):
 
 TRACED_JOBS = {
     "enumerate": ["enumerate", "--order", "3", "--filter", "ktq", "--dedup"],
+    "homology": ["homology", "fixtures/z3linear.ktq", "--degree", "2", "--relators", "D"],
     "compare": ["compare", "fixtures/z3linear.ktq", "fixtures/fr3_after.dg",
                 "fixtures/fr3_before.dg", "--variant", "NI",
                 "--correspondence", "fixtures/fr3.corr", "--mod", "3"],
@@ -244,6 +245,10 @@ def test_traced_benchmark_job_matches_the_untraced_run(tmp_path, monkeypatch, jo
     if job == "enumerate":
         assert "algebra.enumerate" in trace["total"]
         assert "algebra.canonical_form" in trace["total"]
+    elif job == "homology":
+        # ktq.cli binds homology on first lookup; the tracer wraps it there
+        assert "homology.homology" in trace["total"]
+        assert trace["counts"]["homology.homology.calls"] == 1
     else:
         # one class check per matched pair, both seen by the tracer
         assert "homology.checker_init" in trace["total"]

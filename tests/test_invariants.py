@@ -1,4 +1,3 @@
-import importlib
 from collections import Counter
 
 import pytest
@@ -184,8 +183,7 @@ def test_report_builds_each_chain_once_and_checks_cycles_only_in_the_checker(
     monkeypatch.setattr(
         HomologyClassChecker, "equal", counted("equal", HomologyClassChecker.equal)
     )
-    # the package attribute ktq.homology is the function, not the module
-    for owner in (ktq.invariants, importlib.import_module("ktq.homology")):
+    for owner in (ktq.invariants, ktq.homology):
         monkeypatch.setattr(owner, "is_cycle", counted(owner.__name__, owner.is_cycle))
     rows = dict(invariant_report(
         d1, d2, z3linear, variant=NAMED_VARIANTS["N"], correspondence=[(0, 0)]

@@ -91,7 +91,7 @@ def test_refuses_what_homology_refuses(relators):
 
 def test_compare_builds_the_relation_lattice_once(monkeypatch):
     # the class checks and the mod-m cocycles of one report share one build
-    module = importlib.import_module("ktq.homology")  # ktq.homology is the function
+    import ktq.homology as module
     built = []
 
     class Counted(module._RelatorLattices):

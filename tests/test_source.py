@@ -2,9 +2,15 @@
 
 import ast
 import glob
+import io
 import os
 import subprocess
 import sys
+
+import pytest
+
+from conftest import fixture_path
+from ktq.cli import cli_main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "ktq")
 
@@ -140,3 +146,81 @@ def test_the_cli_imports_no_heavy_standard_modules():
         capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def _fresh_python(script, *argv):
+    """Run script in a new interpreter that imports ktq from src/."""
+    return subprocess.run(
+        [sys.executable, "-c", script, os.path.join(SRC, os.pardir), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+# The ktq modules a fresh process holds after each subcommand, beyond
+# ktq.cli, ktq.algebra, ktq.errors and ktq.variants, which every one loads.
+ENGINE = ["chains", "homology", "intlinalg"]
+LOADED = {
+    "verify": [],
+    "enumerate": [],
+    "homology": ENGINE,
+    "cocycles": ENGINE,
+    "color": ["chains", "diagram"],
+    "statesum": ENGINE + ["diagram", "invariants"],
+    "compare": ENGINE + ["diagram", "invariants"],
+}
+ARGV = {
+    "verify": ["verify", fixture_path("z5affine.ktq")],
+    "enumerate": ["enumerate", "--order", "3", "--filter", "iktq"],
+    "homology": ["homology", fixture_path("z3linear.ktq"), "--degree", "2", "--relators", "D"],
+    "cocycles": ["cocycles", fixture_path("z3linear.ktq"), "--mod", "3", "--relators", "D"],
+    "color": ["color", fixture_path("z3linear.ktq"), fixture_path("trefoil.dg"), "--list"],
+    "statesum": ["statesum", fixture_path("z3linear.ktq"), fixture_path("trefoil.dg"), "PHI"],
+    "compare": ["compare", fixture_path("z3linear.ktq"), fixture_path("fr3_after.dg"),
+                fixture_path("fr3_before.dg"), "--variant", "NI",
+                "--correspondence", fixture_path("fr3.corr"), "--mod", "3"],
+}
+
+
+@pytest.mark.parametrize("command", list(LOADED))
+def test_a_fresh_process_loads_only_what_its_subcommand_runs(command, tmp_path):
+    # in this process every module is loaded already, so only a new
+    # interpreter shows which ones a subcommand pulls in
+    phi = tmp_path / "phi.coc"
+    phi.write_text("cocycle 3\n0 1 0 -> 2\n0 2 0 -> 1\n")
+    argv = [str(phi) if a == "PHI" else a for a in ARGV[command]]
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ktq.cli; "
+        "code = ktq.cli.cli_main(sys.argv[2:]); sys.stdout.flush(); "
+        "print(sorted(m for m in sys.modules if m.startswith('ktq.')), file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    done = _fresh_python(script, *argv)
+    out = io.StringIO()
+    code = cli_main(argv, out)
+    assert (done.returncode, done.stdout) == (code, out.getvalue()) and code == 0
+    always = ["algebra", "cli", "errors", "variants"]
+    expected = sorted("ktq." + m for m in always + LOADED[command])
+    assert done.stderr.splitlines()[-1] == str(expected)
+
+
+# what touches ktq.homology before the checks below
+FIRST = {
+    "package": "from ktq import two_cocycles; import ktq.homology as H",
+    "submodule": "import ktq.homology as H; from ktq import two_cocycles",
+    "cli": "import ktq.cli; ktq.cli.homology; import ktq.homology as H",
+    "attribute": "import ktq; H = ktq.homology",
+}
+
+
+@pytest.mark.parametrize("first", list(FIRST))
+def test_ktq_homology_is_the_submodule_whatever_runs_first(first):
+    # the homology function is ktq.homology.homology; the package binds no
+    # attribute of that name that could shadow the submodule
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); %s; "
+        "import ktq, ktq.cli; from ktq import homology; "
+        "print(homology is H is ktq.homology is sys.modules['ktq.homology'], "
+        "ktq.cli.homology is H.homology, type(H.homology).__name__)" % FIRST[first]
+    )
+    done = _fresh_python(script)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True True function\n", "")
