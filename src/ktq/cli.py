@@ -68,7 +68,6 @@ def build_parser():
     s.add_argument("--relators", choices=RELATOR_CHOICES, default="none")
     s.add_argument("--mode", choices=("sub", "quot"), default="quot")
     s.add_argument("--diff", choices=DIFF_CHOICES, default="full")
-    s.add_argument("--degree-cap", type=int, default=None)
 
     s = sub.add_parser("color", help="count (and list) diagram colorings")
     s.add_argument("algebra")
@@ -139,7 +138,7 @@ def _cmd_homology(args, out):
         mode="subcomplex" if args.mode == "sub" else "quotient",
         diff_kind=args.diff,
     )
-    group = _cli.homology(X, args.degree, v, degree_cap=args.degree_cap)
+    group = _cli.homology(X, args.degree, v)
     out.write(str(group) + "\n")
     return 0
 

@@ -124,15 +124,14 @@ def relator_columns(X, n, relators):
     return [[col.get(i, 0) for i in rows] for col in _relator_columns(X, n, relators)]
 
 
-def default_degree_cap(order):
-    # |X|**(n+2) generator growth; see the module notes
-    return 4 if order <= 3 else 3
-
-
-#: The most work homology(X, n) may take on, whatever the degree cap: the
-#: |X|**(n+2) + |X|**(n+3) generators of C_n and C_{n+1} times (n+2)**2, a
-#: floor on the faces of one tuple.  z5 H_2 needs 60,000, z3 H_4 104,976;
-#: z5 H_3 (468,750, over 30 s) and order 1 above degree 385 are refused.
+#: The most work homology(X, n) and the degree-1 relation lattice may take
+#: on: the |X|**(n+2) + |X|**(n+3) generators of C_n and C_{n+1} times
+#: (n+2)**2, a floor on the faces of one tuple.  z5 H_2 needs 60,000, z3 H_4
+#: 104,976; z5 H_3 (468,750, over 30 s), order 1 above degree 385 and
+#: degree 1 from order 14 on are refused.  The slowest admitted request
+#: measured (2-core VM, Python 3.11) is `cocycles` over x - y + z mod 13
+#: (276,822): 5.8 s and 199 MB in process; an order-4 H_3 (128,000) takes
+#: up to 4 s.
 MAX_WORK = 300000
 
 
@@ -182,12 +181,23 @@ class _RelatorLattices:
         return cols, r + self.X.order ** (m + 1)
 
 
-def _check_variant(X, v):
-    """Refuse a relator set the algebra cannot carry."""
+def _check_request(X, n, v):
+    """Refuse, before anything is built, a degree below -1, a relator set
+    the algebra cannot carry, or a degree needing more than MAX_WORK work."""
+    if n < -1:
+        raise MathError("homology is computed for degrees >= -1")
     if v.relators in ("I", "ID") and not X.is_iktq:
         raise MathError("variant %s requires an involutory KTQ" % v.relators)
     if v.relators != "none" and not X.is_quasigroup:
         raise MathError("relator subgroups require a quasigroup")
+    # (|X|**(n+2) + |X|**(n+3)) * (n+2)**2; the exponent is capped, since
+    # 2**64 already exceeds the limit, so that an absurd degree costs nothing
+    if X.order ** min(n + 2, 64) * (1 + X.order) * (n + 2) ** 2 > MAX_WORK:
+        raise MathError(
+            "degree %d over order %d needs %d^%d + %d^%d generators times %d^2,"
+            " more work than %d"
+            % (n, X.order, X.order, n + 2, X.order, n + 3, n + 2, MAX_WORK)
+        )
 
 
 def _check_square(cols_n, cols_n1, n):
@@ -215,31 +225,16 @@ def _free_homology(differential, n):
     )
 
 
-def homology(X, n, v=HomologyVariant(), degree_cap=None):
+def homology(X, n, v=HomologyVariant()):
     """The degree-n homology group of the requested variant.
 
     Quotient mode computes the homology of C/R, subcomplex mode of R itself;
-    with relators 'none' both give the plain homology.  Degrees above the
-    materialization cap are rejected unless degree_cap overrides it, and
-    so, always, is a degree needing more than MAX_WORK work.
+    with relators 'none' both give the plain homology.  A degree needing
+    more than MAX_WORK work is refused before anything is built
+    (_check_request), as are a degree below -1 and a relator set the
+    algebra cannot carry.
     """
-    if n < -1:
-        raise MathError("homology is computed for degrees >= -1")
-    _check_variant(X, v)
-    cap = degree_cap if degree_cap is not None else default_degree_cap(X.order)
-    if n + 1 > cap:
-        raise MathError(
-            "degree %d exceeds the materialization cap %d for order %d"
-            % (n, cap, X.order)
-        )
-    # (|X|**(n+2) + |X|**(n+3)) * (n+2)**2; the exponent is capped, since
-    # 2**64 already exceeds the limit, so that an absurd degree costs nothing
-    if X.order ** min(n + 2, 64) * (1 + X.order) * (n + 2) ** 2 > MAX_WORK:
-        raise MathError(
-            "degree %d over order %d needs %d^%d + %d^%d generators times %d^2,"
-            " more work than %d"
-            % (n, X.order, X.order, n + 2, X.order, n + 3, n + 2, MAX_WORK)
-        )
+    _check_request(X, n, v)
     lattices = _RelatorLattices(X, v.relators, v.diff_kind)
     sub = v.mode == "subcomplex" and v.relators != "none"
     return _free_homology(lattices.sub if sub else lattices.cone, n)
@@ -250,8 +245,9 @@ def _degree1_relations(X, v):
     """im d_2 + R_1 of a quotient variant: the LatticeSolver of d_2 of the
     cone of R -> C over the triples (R_0 = 0), cached so that a report's
     class checks and cocycles share one unit elimination.  Refuses what
-    homology(X, 1, v) refuses: relator set, relators leaving R, d_1 d_2 != 0."""
-    _check_variant(X, v)
+    homology(X, 1, v) refuses: relator set, the work bound (from order 14
+    on), relators leaving R, d_1 d_2 != 0."""
+    _check_request(X, 1, v)
     lattices = _RelatorLattices(X, v.relators, v.diff_kind)
     cols, _ = lattices.cone(2)
     _check_square(lattices.cone(1)[0], cols, 1)

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import ktq.cli
+from ktq.algebra import OpTable, serialize_algebra
 from ktq.cli import cli_main
 
 from conftest import fixture_path
@@ -125,6 +126,10 @@ def test_usage_errors_exit_1(capsys):
     assert run()[0] == 1
     assert run("homology", fixture_path("z3linear.ktq"))[0] == 1  # missing --degree
     assert run("enumerate", "--order", "x")[0] == 1
+    # the work bound is the only bound on homology, and it has no override
+    assert run(
+        "homology", fixture_path("z3linear.ktq"), "--degree", "2", "--degree-cap", "9"
+    )[0] == 1
     capsys.readouterr()
 
 
@@ -154,7 +159,7 @@ def test_math_errors_exit_3(tmp_path, capsys):
         "color", fixture_path("z5affine.ktq"), fixture_path("fkink.dg")
     )
     assert code == 3
-    # degree past the cap
+    # degree over the work bound
     code, _ = run(
         "homology", fixture_path("z5affine.ktq"), "--degree", "3"
     )
@@ -249,7 +254,7 @@ def test_output_is_byte_stable():
 def test_oversized_homology_is_refused_before_it_allocates(capsys):
     start = time.perf_counter()
     code, out = run(
-        "homology", fixture_path("z3linear.ktq"), "--degree", "9", "--degree-cap", "20"
+        "homology", fixture_path("z3linear.ktq"), "--degree", "9"
     )
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
@@ -260,11 +265,49 @@ def test_long_tuples_are_refused_before_their_faces_are_built(capsys):
     # two generators over order 1, but each of length 1002 and 1003
     start = time.perf_counter()
     code, out = run(
-        "homology", fixture_path("order1.ktq"), "--degree", "1000", "--degree-cap", "2000"
+        "homology", fixture_path("order1.ktq"), "--degree", "1000"
     )
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert "generators times 1002^2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,group", [
+    (["z3linear.ktq", "--degree", "4"], "Z^243"),
+    (["z3linear.ktq", "--degree", "4", "--relators", "D"], "Z^48"),
+    (["z2sum1.ktq", "--degree", "7"], "Z^128"),
+    (["order1.ktq", "--degree", "385"], "Z"),
+])
+def test_every_degree_within_the_work_bound_is_computed(argv, group):
+    assert run("homology", fixture_path(argv[0]), *argv[1:]) == (0, group + "\n")
+
+
+@pytest.mark.parametrize("algebra,degree", [
+    ("z3linear.ktq", "5"), ("z2sum1.ktq", "8"), ("order1.ktq", "386"), ("z5affine.ktq", "3"),
+])
+def test_every_degree_over_the_work_bound_is_refused(algebra, degree, capsys):
+    assert run("homology", fixture_path(algebra), "--degree", degree) == (3, "")
+    assert "more work than 300000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["cocycles", "z14.ktq", "--mod", "2", "--relators", "D"],
+    ["compare", "z14.ktq", fixture_path("kink.dg"), fixture_path("unknot0.dg"),
+     "--correspondence", fixture_path("kink_unknot.corr")],
+    ["compare", "z14.ktq", fixture_path("kink.dg"), fixture_path("unknot0.dg"), "--mod", "2"],
+])
+def test_the_degree1_relation_lattice_is_bounded_like_homology(command, tmp_path, capsys):
+    # x - y + z mod 14: its degree-1 lattice is over the work bound, as is
+    # homology --degree 1
+    n = 14
+    values = [(x - y + z) % n for x in range(n) for y in range(n) for z in range(n)]
+    (tmp_path / "z14.ktq").write_text(serialize_algebra(OpTable(n, values)))
+    argv = [str(tmp_path / a) if a == "z14.ktq" else a for a in command]
+    start = time.perf_counter()
+    code, out = run(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "needs 14^3 + 14^4 generators" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

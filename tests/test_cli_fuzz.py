@@ -100,7 +100,6 @@ def invocations(draw):
         argv += ["--relators", value(st.sampled_from(("D", "I", "ID")))]
     if command == "homology":
         argv += ["--degree", value(st.integers(-3, 3))]
-        argv += option("--degree-cap", st.integers(-2, 4))
         argv += option("--relators", st.sampled_from(("none", "D", "I", "ID")))
         argv += option("--mode", st.sampled_from(("sub", "quot")))
         argv += option("--diff", st.sampled_from(("L", "R", "full")))

@@ -122,6 +122,23 @@ def test_one_latin_search_path():
     assert [owner for owner in owners if owner.startswith("algebra.")] == ["algebra.enumerate_ktqs"]
 
 
+def test_one_function_bounds_homology_work():
+    # homology() and the degree-1 relation lattice of cocycles and compare
+    # are refused by one check of MAX_WORK, before anything is built
+    def reads_bound(node):
+        return (
+            isinstance(node, ast.Name) and node.id == "MAX_WORK" and isinstance(node.ctx, ast.Load)
+        )
+
+    def calls_check(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_request"
+
+    assert set(_functions_where(reads_bound)) == {"homology._check_request"}
+    assert sorted(_functions_where(calls_check)) == [
+        "homology._degree1_relations", "homology.homology"
+    ]
+
+
 def test_invariants_read_no_crossing_data():
     # the crossing-sign rule lives in diagram.associated_chain alone: the
     # class checks and state sums read the chains it builds
