@@ -89,6 +89,15 @@ def test_order5_iktq_dedup_output_digest():
     )
 
 
+def test_order5_ktq_dedup_output_digest():
+    # the 23 KTQs of order 5 up to relabeling (480 tables without dedup)
+    code, out = run_cli("enumerate", "--order", "5", "--max-order", "5", "--filter", "ktq", "--dedup")
+    assert code == 0 and out.endswith("# count 23\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "770c79b3d714f2ef918cd1c80370f5c022ab0fbf9262d5633fdf2965e8f575a7"
+    )
+
+
 def test_order5_iktq_dedup_holds_exactly_the_affine_iktqs_over_z5():
     # as over Z4, T = ax + by + cz is a KTQ iff b = -ac, an IKTQ iff also b = -1
     units = list(product(range(1, 5), repeat=3))
@@ -127,6 +136,7 @@ def test_order4_dedup_output_digest(filt, digest):
     (4, "ktq", "46ebee2de9e5ad8fd1fcaabb1c93e4b25de3e62accd396a80b95adefdceae5cc"),
     (4, "iktq", "075d001901eec3f84441ffb4972b9f2d6d47a85e1d6e80e577872da6adcb6560"),
     (5, "iktq", "25dd5e18406b11f440e364e9d4c2efb997e85c196a897fafe82a9551adc7002a"),
+    (5, "ktq", "8a9763fed76541b4e16ebba730cabbffbc3357551144536e3ac6ca71043e8a8d"),
 ])
 def test_enumerate_output_digest_without_dedup(n, filt, digest):
     code, out = run_cli("enumerate", "--order", str(n), "--max-order", "5", "--filter", filt)
