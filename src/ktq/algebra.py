@@ -151,64 +151,134 @@ def derive_divisions(t):
     return OpTable(n, lv), OpTable(n, mv), OpTable(n, rv)
 
 
-# An axiom is an equation between two terms in T and the variables of one
-# instance.  It is compiled once into a straight-line program over registers
-# that start as the instance's variables: each step appends T of three
-# registers (the entries are read left to right, innermost first, and each
-# distinct subterm once), and the equation holds when two registers agree.
-Axiom = namedtuple("Axiom", "arity steps lhs rhs")
+# An axiom is one or more equations between terms in T over the variables
+# of one instance, compiled once into a straight-line program over
+# registers that start as the instance's variables: each step appends T of
+# three registers (the entries are read left to right, innermost first,
+# and each distinct subterm once).  The program is a part (rest, lhs, rhs,
+# tails), the shared prefix: the steps every equation reads, in the order
+# the first equation reads them.  Its tails are one part per equation: the
+# steps only that equation reads, numbered on from the prefix's registers,
+# and lhs, rhs, the two registers that agree when the equation holds (the
+# prefix compares register 0 with itself).  A3L and A3R over the same
+# (a, b, c, d) share four of their five reads, T(a,b,c), T(T(a,b,c),c,d),
+# T(b,c,d) and T(a,b,T(b,c,d)), so each has a one-step tail.
+#
+# rest[k] is the steps a part still reads once k registers are known, and
+# ahead[k] those of them, after the next, whose arguments are among the k.
+# In the search, an instance waiting on an unfilled entry is the
+# watch-list entry (part, r), which carries its resume state: the part it
+# is in and the registers r it has read, whose count is the step it
+# stopped at.  A wake reads only the entries the steps from there on read,
+# and a finished prefix starts every tail, so each equation is decided as
+# soon as the entries it reads are filled.  Entries are filled in index
+# order, so a stopped prefix waits on the last unfilled entry that its
+# next step and the steps ahead read: the others are filled by then.
+Axiom = namedtuple("Axiom", "arity program")
 
-HOLDS, FAILS = -1, -2
 
+def _compile(variables, *equations):
+    """Compile equations ``lhs = rhs``, written in T and the one-letter
+    variables, into one Axiom whose instances take the variables in the
+    given order."""
+    reads = []  # per equation: its subterms in read order, and its sides
+    for equation in equations:
+        text, order = equation.replace(" ", ""), []
 
-def _compile(variables, equation):
-    """Compile ``lhs = rhs``, written in T and the one-letter variables,
-    into an Axiom whose instances take the variables in the given order."""
-    text = equation.replace(" ", "")
+        def term(pos):
+            if not text.startswith("T(", pos):
+                return text[pos], pos + 1
+            args = []
+            pos += 2
+            for _ in range(3):
+                arg, pos = term(pos)
+                args.append(arg)
+                pos += 1  # the ',' or ')' after the argument
+            key = tuple(args)
+            if key not in order:
+                order.append(key)
+            return key, pos
+
+        lhs, pos = term(0)
+        rhs, _ = term(pos + 1)  # past the '='
+        reads.append((order, lhs, rhs))
+
+    def part(register, keys, lhs, rhs):
+        """(rest, ahead, lhs, rhs) of the part that reads keys, its
+        registers numbered on from those in register."""
+        base, steps = len(register), []
+        for key in keys:
+            steps.append(tuple(register[arg] for arg in key))
+            register[key] = len(register)
+        rest = (None,) * base + tuple(tuple(steps[k:]) for k in range(len(steps) + 1))
+        ahead = (None,) * base + tuple(
+            tuple(step for step in steps[k + 1:] if max(step) < base + k)
+            for k in range(len(steps) + 1))
+        return rest, ahead, register[lhs], register[rhs]
+
+    shared = [key for key in reads[0][0] if all(key in order for order, _, _ in reads)]
     register = {name: r for r, name in enumerate(variables)}
-    steps = []
-
-    def term(pos):
-        if not text.startswith("T(", pos):
-            return register[text[pos]], pos + 1
-        args = []
-        pos += 2
-        for _ in range(3):
-            r, pos = term(pos)
-            args.append(r)
-            pos += 1  # the ',' or ')' after the argument
-        key = tuple(args)
-        if key not in register:
-            register[key] = len(variables) + len(steps)
-            steps.append(key)
-        return register[key], pos
-
-    lhs, pos = term(0)
-    rhs, _ = term(pos + 1)  # past the '='
-    return Axiom(len(variables), tuple(steps), lhs, rhs)
+    prefix = part(register, shared, variables[0], variables[0])
+    tails = tuple(part(dict(register), [key for key in order if key not in shared], lhs, rhs) + ((),)
+                  for order, lhs, rhs in reads)
+    return Axiom(len(variables), prefix + (tails,))
 
 
-A3L = _compile("abcd", "T(T(a,b,c), c, d) = T(T(a,b,T(b,c,d)), T(b,c,d), d)")
-A3R = _compile("abcd", "T(a, b, T(b,c,d)) = T(a, T(a,b,c), T(T(a,b,c), c, d))")
+# its tails are A3L and A3R, in that order
+A3 = _compile("abcd",
+              "T(T(a,b,c), c, d) = T(T(a,b,T(b,c,d)), T(b,c,d), d)",
+              "T(a, b, T(b,c,d)) = T(a, T(a,b,c), T(T(a,b,c), c, d))")
 # T = M, i.e. each map y -> T(x, y, z) is its own inverse
 INVOLUTION = _compile("xyz", "T(x, T(x,y,z), z) = y")
 
 #: The axioms each enumeration filter checks, by filter name.
-FILTER_AXIOMS = {"all_quasigroups": (), "ktq": (A3L, A3R), "iktq": (A3L, A3R, INVOLUTION)}
+FILTER_AXIOMS = {"all_quasigroups": (), "ktq": (A3,), "iktq": (A3, INVOLUTION)}
 
 
-def _evaluate(v, n, axiom, args):
-    """One instance of an axiom on the flat table v of order n, where None
-    marks an unfilled entry.  Returns HOLDS, FAILS or the index of the first
-    unfilled entry the instance reads."""
-    r = list(args)
-    for x, y, z in axiom.steps:
-        i = (r[x] * n + r[y]) * n + r[z]
-        w = v[i]
-        if w is None:
-            return i
-        r.append(w)
-    return HOLDS if r[axiom.lhs] == r[axiom.rhs] else FAILS
+def _resume_axioms(v, n, entries, watch, moved):
+    """Resume the axiom instances (part, r) in entries on the flat table v
+    of order n, where None marks an unfilled entry: read the rest of each
+    part and, once the prefix is read, each tail.  An instance left
+    waiting is appended to watch[i] for the unfilled entry i, and that
+    list to moved.  Returns False when an equation fails.  The one walker
+    of the compiled programs."""
+    for part, r in entries:
+        rest, ahead, lhs, rhs, tails = part
+        for x, y, z in rest[len(r)]:
+            i = (r[x] * n + r[y]) * n + r[z]
+            w = v[i]
+            if w is None:
+                for x, y, z in ahead[len(r)]:
+                    j = (r[x] * n + r[y]) * n + r[z]
+                    if j > i:
+                        i = j
+                q = watch[i]
+                q.append((part, r))
+                moved.append(q)
+                break
+            r += (w,)
+        else:
+            if r[lhs] != r[rhs]:
+                return False
+            # the tails are read inline (a call per tail cost about 10% of
+            # the order-4 search); A3's have one step, so none looks ahead
+            k = len(r)
+            for tail in tails:
+                rest, _, lhs, rhs, _ = tail
+                s = r
+                for x, y, z in rest[k]:
+                    i = (s[x] * n + s[y]) * n + s[z]
+                    w = v[i]
+                    if w is None:
+                        q = watch[i]
+                        q.append((tail, s))
+                        moved.append(q)
+                        break
+                    s += (w,)
+                else:
+                    if s[lhs] != s[rhs]:
+                        return False
+    return True
 
 
 def check_a3(t):
@@ -221,14 +291,19 @@ def check_a3(t):
     The quasigroup property is not assumed; the axioms are equational.
     """
     n, v = t.order, t.values
-    wl = wr = None
-    for q in product(range(n), repeat=4):
-        if wl is None and _evaluate(v, n, A3L, q) == FAILS:
-            wl = q
-        if wr is None and _evaluate(v, n, A3R, q) == FAILS:
-            wr = q
-        if wl is not None and wr is not None:
+    *prefix, tails = A3.program
+    alone = [(*prefix, (tail,)) for tail in tails]  # A3L, A3R
+    witness = [None] * len(alone)
+    for q in product(range(n), repeat=A3.arity):
+        # a full table leaves nothing waiting
+        if _resume_axioms(v, n, [(A3.program, q)], None, None):
+            continue
+        for e, part in enumerate(alone):
+            if witness[e] is None and not _resume_axioms(v, n, [(part, q)], None, None):
+                witness[e] = q
+        if None not in witness:
             break
+    wl, wr = witness
     return A3Report(wl is None, wr is None, wl, wr)
 
 
@@ -277,49 +352,41 @@ def _relabelings(n):
     return tuple(out)
 
 
-def _evaluate_relabeling(v, n, perm, src):
-    """The lex-leader test of one relabeling on the flat table v of order
-    n, where None marks an unfilled entry: FAILS when the relabeled table
-    is already smaller than v on the entries the filled ones determine
-    (then no completion of v is the least of its orbit), HOLDS when it is
-    already larger, or equal on a full table, and otherwise the index of
-    the first unfilled entry the comparison reads.  The relabeled entry at
-    p is perm[v[src[p]]]; n is unused and keeps the signature of
-    _evaluate."""
-    for p, s in enumerate(src):
-        x = v[s]
-        if x is None:
-            return s
-        y = v[p]
-        if y is None:
-            return p
-        e = perm[x]
-        if e < y:
-            return FAILS
-        if e > y:
-            return HOLDS
-    return HOLDS
+def _resume_tests(v, entries, tests, moved):
+    """Resume the lex-leader tests (perm, src, p) in entries on the flat
+    table v, where None marks an unfilled entry.  A test compares the
+    relabeled table, whose entry at p is perm[v[src[p]]], with v from the
+    position p its comparison reached.  It fails when the relabeled table
+    is already smaller on the entries the filled ones determine (then no
+    completion of v is the least of its orbit), and holds when it is
+    already larger, or equal on a full table.  A test left waiting is
+    appended to tests[i] for the unfilled entry i, and that list to moved.
+    Returns False when a test fails."""
+    for perm, src, p in entries:
+        for p in range(p, len(src)):
+            x, y = v[src[p]], v[p]
+            if x is None or y is None:
+                q = tests[max(src[p], p)]  # filled entries come first
+                q.append((perm, src, p))
+                moved.append(q)
+                break
+            if perm[x] != y:
+                if perm[x] < y:
+                    return False
+                break
+    return True
 
 
-def _wake(v, n, watch, pos):
-    """Re-evaluate the instances waiting on the just-filled entry pos.
-
-    An instance is (evaluate, a, b), evaluated as evaluate(v, n, a, b).  An
-    undecided one moves to the watch list of the next unfilled entry it
-    reads.  Returns those entries, or None (with the moves taken back)
-    when an instance fails."""
+def _wake(v, n, watch, tests, pos):
+    """Resume the axiom instances and lex-leader tests waiting on the
+    just-filled entry pos.  Returns the watch lists they moved to, or None
+    (with the moves taken back) when one fails."""
     moved = []
-    for check in watch[pos]:
-        evaluate, a, b = check
-        r = evaluate(v, n, a, b)
-        if r >= 0:
-            watch[r].append(check)
-            moved.append(r)
-        elif r == FAILS:
-            for q in moved:
-                watch[q].pop()
-            return None
-    return moved
+    if _resume_axioms(v, n, watch[pos], watch, moved) and _resume_tests(v, tests[pos], tests, moved):
+        return moved
+    for q in moved:
+        q.pop()
+    return None
 
 
 def _checked_latin_tables(n, axioms):
@@ -328,23 +395,22 @@ def _checked_latin_tables(n, axioms):
     instance of the given axioms holds, in lexicographic order.
 
     Entries are filled in index order with ascending values (an explicit
-    stack, no recursion).  Each axiom instance waits on the first unfilled
-    entry it reads, so a violated instance prunes the branch as soon as the
-    entries it reads are filled (forward checking).  Each non-identity
-    relabeling is one more instance, its lex-leader test (Crawford,
+    stack, no recursion).  Each axiom instance waits on an unfilled entry it
+    reads and resumes where it stopped, so a violated equation prunes the
+    branch as soon as the entries it reads are filled (forward checking).
+    Each non-identity relabeling is one more instance, its lex-leader test,
+    resumed at the position its comparison reached (Crawford,
     Ginsberg, Luks & Roy, KR 1996): a prefix that some relabeling already
     makes smaller is pruned, which drops no least table, and on a full
     table the test is exact.
     """
     total = n ** 3
     v = [None] * total
-    watch = [[] for _ in range(total)]
-    checks = [(_evaluate, axiom, args)
-              for axiom in axioms for args in product(range(n), repeat=axiom.arity)]
-    checks += [(_evaluate_relabeling, perm, src) for perm, src in _relabelings(n)[1:]]
-    for check in checks:
-        evaluate, a, b = check
-        watch[evaluate(v, n, a, b)].append(check)
+    watch = [[] for _ in range(total)]  # axiom instances
+    tests = [[] for _ in range(total)]  # lex-leader tests
+    _resume_axioms(v, n, [(axiom.program, args) for axiom in axioms
+                          for args in product(range(n), repeat=axiom.arity)], watch, [])
+    _resume_tests(v, [(perm, src, 0) for perm, src in _relabelings(n)[1:]], tests, [])
     # bitmasks of the values used on each line, by the slot that varies
     used_i, used_j, used_k = [0] * (n * n), [0] * (n * n), [0] * (n * n)
     lines = [(j * n + k, i * n + k, i * n + j) for i, j, k in product(range(n), repeat=3)]
@@ -360,7 +426,7 @@ def _checked_latin_tables(n, axioms):
         used_j[b] &= clear
         used_k[c] &= clear
         for q in moved[p]:
-            watch[q].pop()
+            q.pop()
         return x
 
     pos, x = 0, 0
@@ -375,7 +441,7 @@ def _checked_latin_tables(n, axioms):
         while x < n:
             if not taken >> x & 1:
                 v[pos] = x
-                moved[pos] = _wake(v, n, watch, pos) if watch[pos] else ()
+                moved[pos] = _wake(v, n, watch, tests, pos)
                 if moved[pos] is not None:
                     break
             x += 1
@@ -412,6 +478,12 @@ def canonical_form(t):
     return best
 
 
+#: The most entries, n! * n**3, that _relabelings(n) may build for
+#: enumerate_ktqs: order 6 (155,520) is admitted and order 7 (1,728,720)
+#: refused, at the scale of diagram.MAX_LEAVES.
+MAX_RELABELING_ENTRIES = 10 ** 6
+
+
 def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
     """Exhaustively enumerate the order-n quasigroup tables that pass a
     filter, in lexicographic order of their value tuples.
@@ -422,9 +494,10 @@ def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
     those are returned.  Each filter is the Latin property plus equations
     in T, hence closed under relabeling, so without dedup the orbits of
     the least tables are returned, sorted.  Orders above max_order are
-    rejected; pass a larger max_order explicitly to override.  On a 2-core
-    Xeon VM with Python 3.11, order 5 takes about 12 s with the 'ktq'
-    filter and under a second with 'iktq', with or without dedup.
+    rejected; pass a larger max_order explicitly to override, up to the
+    orders whose relabelings fit MAX_RELABELING_ENTRIES.  On a 2-core Xeon
+    VM with Python 3.11, order 5 takes about 3 s with the 'ktq' filter and
+    under a second with 'iktq', with or without dedup.
     """
     if filt not in FILTER_AXIOMS:
         raise ValueError("unknown filter %r" % (filt,))
@@ -434,6 +507,15 @@ def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
         raise MathError(
             "order %d exceeds the enumeration cap %d; raise max_order to override"
             % (n, max_order)
+        )
+    entries, k = n ** 3, 1
+    while entries <= MAX_RELABELING_ENTRIES and k < n:
+        k += 1
+        entries *= k
+    if entries > MAX_RELABELING_ENTRIES:
+        raise MathError(
+            "order %d needs %d! * %d^3 relabeling entries, more than %d"
+            % (n, n, n, MAX_RELABELING_ENTRIES)
         )
     tables = [v for v in _checked_latin_tables(n, FILTER_AXIOMS[filt])
               if canonical_form(OpTable(n, v)) == v]

@@ -57,6 +57,26 @@ def check_a3(t):
     return wl is None, wr is None, wl, wr
 
 
+def a3_reads(t, a, b, c, d):
+    """For A3L and A3R at (a, b, c, d), written out literally: the set of
+    entries (flat indices) the equation reads, and whether it holds."""
+    n = t.order
+    out = []
+    for sides in (
+        lambda T: (T(T(a, b, c), c, d), T(T(a, b, T(b, c, d)), T(b, c, d), d)),
+        lambda T: (T(a, b, T(b, c, d)), T(a, T(a, b, c), T(T(a, b, c), c, d))),
+    ):
+        read = set()
+
+        def T(x, y, z):
+            read.add((x * n + y) * n + z)
+            return t(x, y, z)
+
+        lhs, rhs = sides(T)
+        out.append((read, lhs == rhs))
+    return out
+
+
 def canonical_form(t):
     """Lexicographically least value tuple over all n! relabelings."""
     n = t.order

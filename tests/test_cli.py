@@ -272,6 +272,16 @@ def test_long_tuples_are_refused_before_their_faces_are_built(capsys):
     assert "generators times 1002^2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", ["8", "99999999999999999999"])
+def test_an_oversized_enumeration_is_refused_before_it_allocates(order, capsys):
+    # n! * n^3 relabeling entries: order 8 needs about 2 * 10^7
+    start = time.perf_counter()
+    code, out = run("enumerate", "--order", order, "--max-order", order)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "relabeling entries, more than 1000000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,group", [
     (["z3linear.ktq", "--degree", "4"], "Z^243"),
     (["z3linear.ktq", "--degree", "4", "--relators", "D"], "Z^48"),

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -17,13 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 import enumeration_oracle as oracle
 from ktq.algebra import (
-    FAILS,
+    A3,
     FILTER_AXIOMS,
-    HOLDS,
     OpTable,
     _checked_latin_tables,
-    _evaluate_relabeling,
     _relabelings,
+    _resume_axioms,
+    _resume_tests,
     affine_table,
     canonical_form,
     check_a3,
@@ -201,13 +202,31 @@ def test_canonical_form_is_the_least_relabeling(t):
     assert canonical_form(t) == oracle.canonical_form(t)
 
 
+HOLDS, FAILS = "holds", "fails"
+
+
+def resume(v, n, entry):
+    """Resume one watch-list entry of the Latin search, an axiom instance
+    (part, r) or a lex-leader test (perm, src, p), on the flat table v of
+    order n, None marking an unfilled entry: HOLDS, FAILS, or the entries
+    (index, entry) it left waiting on unfilled entries."""
+    watch = defaultdict(list)
+    if len(entry) == 2:
+        ok = _resume_axioms(v, n, [entry], watch, [])
+    else:
+        ok = _resume_tests(v, [entry], watch, [])
+    if not ok:
+        return FAILS
+    return [(i, e) for i in sorted(watch) for e in watch[i]] or HOLDS
+
+
 def refused(values, n, k):
     """Whether a non-identity relabeling refuses the first k entries of a
     table of order n, the others unfilled."""
     v = list(values[:k]) + [None] * (n ** 3 - k)
-    outcomes = [_evaluate_relabeling(v, n, perm, src) for perm, src in _relabelings(n)[1:]]
+    outcomes = [resume(v, n, (perm, src, 0)) for perm, src in _relabelings(n)[1:]]
     for r in outcomes:  # decided, or waiting on an unfilled entry
-        assert r in (HOLDS, FAILS) or k <= r < n ** 3
+        assert r in (HOLDS, FAILS) or all(k <= i < n ** 3 for i, _ in r)
     return FAILS in outcomes
 
 
@@ -226,6 +245,72 @@ def test_lex_leader_test_refuses_only_prefixes_of_non_least_tables(t):
 def test_check_a3_matches_the_literal_equations(t):
     rep = check_a3(t)
     assert (rep.a3l, rep.a3r, rep.a3l_witness, rep.a3r_witness) == oracle.check_a3(t)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(t=tables())
+def test_the_shared_program_decides_each_equation_when_its_entries_are_filled(t):
+    # fill the entries in index order, as the search does, and resume each
+    # waiting entry once the entry it waits on is filled
+    n, total = t.order, len(t.values)
+    program = A3.program
+    tails = program[-1]
+    for q in product(range(n), repeat=A3.arity):
+        literal = oracle.a3_reads(t, *q)  # A3L, A3R
+        last = [max(read) for read, _ in literal]
+        v = [None] * total
+        waits = resume(v, n, (program, q))
+        for k in range(total + 1):
+            if k:
+                v[k - 1] = t.values[k - 1]
+                ready = [entry for i, entry in waits if i == k - 1]
+                if not ready and k - 1 not in last:
+                    continue  # nothing to resume or decide: as on k - 1 entries
+                waits = [(i, entry) for i, entry in waits if i != k - 1]
+                outcomes = [resume(v, n, entry) for entry in ready]
+                if FAILS in outcomes:
+                    waits = FAILS
+                else:
+                    waits += [w for r in outcomes if r != HOLDS for w in r]
+            filled = [i < k for i in last]
+            if any(done and not holds for done, (_, holds) in zip(filled, literal)):
+                assert waits == FAILS, (q, k)
+                break
+            assert waits not in (HOLDS, FAILS)
+            pending = set()
+            for i, (part, _) in waits:
+                waits_for = {0, 1} if part is program else {tails.index(part)}
+                assert i >= k and all(i in literal[e][0] for e in waits_for), (q, k)
+                pending |= waits_for
+            assert pending == {e for e in (0, 1) if not filled[e]}, (q, k)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(t=tables())
+def test_a_resumed_lex_leader_test_agrees_with_a_restarted_one(t):
+    n, total = t.order, len(t.values)
+    for perm, src in _relabelings(n)[1:]:
+        v = [None] * total
+        reached = [resume(v, n, (perm, src, 0))]
+        for k in range(1, total + 1):
+            v[k - 1] = t.values[k - 1]
+            restarted = resume(v, n, (perm, src, 0))
+            state = reached[-1]
+            if state in (HOLDS, FAILS):
+                assert restarted == state, k
+                break
+            (i, entry), = state
+            if i == k - 1:
+                state = resume(v, n, entry)
+                reached.append(state)
+            assert state == restarted, k
+        # every position reached, resumed on the full table
+        full = resume(list(t.values), n, (perm, src, 0))
+        assert full in (HOLDS, FAILS)
+        for state in reached:
+            if state not in (HOLDS, FAILS):
+                (_, entry), = state
+                assert resume(list(t.values), n, entry) == full
 
 
 TRACED_JOBS = {

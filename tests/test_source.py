@@ -122,6 +122,41 @@ def test_one_latin_search_path():
     assert [owner for owner in owners if owner.startswith("algebra.")] == ["algebra.enumerate_ktqs"]
 
 
+def test_one_function_walks_the_axiom_programs():
+    # a for loop over three-register steps that indexes the table by them;
+    # the Latin search and check_a3 both run the compiled axioms through it
+    def walks_steps(node):
+        if not (isinstance(node, ast.For) and isinstance(node.target, ast.Tuple)
+                and len(node.target.elts) == 3):
+            return False
+        names = [getattr(e, "id", None) for e in node.target.elts]
+        reads = {
+            (sub.value.id, sub.slice.id) for sub in ast.walk(node)
+            if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+            and isinstance(sub.slice, ast.Name)
+        }
+        return any(all((r, name) in reads for name in names) for r, _ in reads)
+
+    assert set(_functions_where(walks_steps)) == {"algebra._resume_axioms"}
+
+    with open(os.path.join(SRC, "algebra.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    uses = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+
+    def reaches(name, seen):
+        seen.add(name)
+        for used in uses.get(name, ()):
+            if used not in seen:
+                reaches(used, seen)
+        return seen
+
+    assert "_resume_axioms" in reaches("check_a3", set())
+    assert "_resume_axioms" in reaches("enumerate_ktqs", set())
+
+
 def test_one_function_bounds_homology_work():
     # homology() and the degree-1 relation lattice of cocycles and compare
     # are refused by one check of MAX_WORK, before anything is built
