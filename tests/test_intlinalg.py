@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -85,6 +86,50 @@ def test_snf_zero_and_empty_shapes():
     assert snf_diagonal([], ncols=3) == []
     U, D, V = smith_normal_form([[0, 0, 0]], 3)
     assert D == [[0, 0, 0]]
+
+
+def smith_inputs(rng, count):
+    """count matrices of up to 7 x 7, paired with their column counts:
+    sparse to dense, entries in -12..12, some scaled by 2 or 3, some with a
+    zero row, a zero column or a row that is a multiple of another."""
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        fill, scale = rng.random(), rng.choice((1, 1, 2, 3))
+        M = [
+            [scale * rng.randint(-12, 12) if rng.random() < fill else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        if m and rng.random() < 0.3:
+            M[rng.randrange(m)] = [0] * n
+        if n and rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in M:
+                row[j] = 0
+        if m > 1 and rng.random() < 0.3:
+            a, b = rng.sample(range(m), 2)
+            k = rng.randint(-3, 3)
+            M[a] = [k * x for x in M[b]]
+        out.append((M, n))
+    return out
+
+
+SMITH_MODULI = (2, 3, 4, 6, 12)
+
+
+def test_smith_forms_and_kernels_are_frozen():
+    # D and V of smith_normal_form (V builds the generators that `ktq
+    # cocycles` prints) and the generators of kernel_mod, over 200 fixed
+    # matrices; U is left out
+    h = hashlib.sha256()
+    for M, n in smith_inputs(random.Random(20), 200):
+        _, D, V = smith_normal_form(M, n)
+        h.update(repr((D, V)).encode())
+        for q in SMITH_MODULI:
+            h.update(repr(kernel_mod(M, q, n)).encode())
+    assert h.hexdigest() == (
+        "61e2d3686481864cba040da9ed861817030e561c4d42f467588c937834f9fc5a"
+    )
 
 
 def test_column_hnf_is_canonical_column_space():
