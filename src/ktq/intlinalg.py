@@ -52,50 +52,34 @@ def _shape(M, ncols):
     return m, ncols
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _snf(M, ncols, want_u, want_v):
+    """(U, D, V) with D = U*M*V in Smith form, U and V None unless wanted.
+
+    One matrix A is eliminated: the m rows of M, each followed by its row
+    of U when want_u, then, when want_v, the n rows of V.  Row operations
+    act on the first m rows, whole, so they update D and U together; column
+    operations act on columns 0..n-1 of every row, so they update D and V
+    together.
+    """
     m, n = _shape(M, ncols)
-    D = [list(row) for row in M]
-    U = _identity(m) if want_u else None
-    V = _identity(n) if want_v else None
+    A = [list(row) for row in M]
+    if want_u:
+        for i, row in enumerate(A):
+            row += [int(i == j) for j in range(m)]
+    if want_v:
+        A += [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def swap_rows(a, b):
-        D[a], D[b] = D[b], D[a]
-        if U is not None:
-            U[a], U[b] = U[b], U[a]
-
-    def swap_cols(a, b):
-        for row in D:
-            row[a], row[b] = row[b], row[a]
-        if V is not None:
-            for row in V:
-                row[a], row[b] = row[b], row[a]
-
-    def negate_row(a):
-        D[a] = [-x for x in D[a]]
-        if U is not None:
-            U[a] = [-x for x in U[a]]
+    def move_to_pivot(i, j):
+        # swap rows t and i, then columns t and j
+        A[t], A[i] = A[i], A[t]
+        for row in A:
+            row[t], row[j] = row[j], row[t]
 
     def row_sub(a, b, q):
         # row a -= q * row b
-        Da, Db = D[a], D[b]
-        for j in range(n):
-            Da[j] -= q * Db[j]
-        if U is not None:
-            Ua, Ub = U[a], U[b]
-            for j in range(m):
-                Ua[j] -= q * Ub[j]
-
-    def col_sub(a, b, q):
-        # col a -= q * col b
-        for row in D:
-            row[a] -= q * row[b]
-        if V is not None:
-            for row in V:
-                row[a] -= q * row[b]
+        Ra, Rb = A[a], A[b]
+        for j in range(len(Ra)):
+            Ra[j] -= q * Rb[j]
 
     t = 0
     while t < min(m, n):
@@ -104,44 +88,45 @@ def _snf(M, ncols, want_u, want_v):
         best = 0
         for i in range(t, m):
             for j in range(t, n):
-                v = D[i][j]
+                v = A[i][j]
                 if v and (best == 0 or abs(v) < best):
                     best = abs(v)
                     pi, pj = i, j
         if best == 0:
             break
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        if D[t][t] < 0:
-            negate_row(t)
+        move_to_pivot(pi, pj)
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
 
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, m):
-                if D[i][t]:
-                    row_sub(i, t, D[i][t] // D[t][t])
+                if A[i][t]:
+                    row_sub(i, t, A[i][t] // A[t][t])
             for i in range(t + 1, m):
-                if D[i][t]:
+                if A[i][t]:
                     # positive remainder, strictly smaller than the pivot
-                    swap_rows(t, i)
+                    move_to_pivot(i, t)
                     dirty = True
                     break
             if dirty:
                 continue
             for j in range(t + 1, n):
-                if D[t][j]:
-                    col_sub(j, t, D[t][j] // D[t][t])
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    for row in A:
+                        row[j] -= q * row[t]
             for j in range(t + 1, n):
-                if D[t][j]:
-                    swap_cols(t, j)
+                if A[t][j]:
+                    move_to_pivot(t, j)
                     dirty = True
                     break
 
-        p = D[t][t]
+        p = A[t][t]
         offender = -1
         for i in range(t + 1, m):
-            if any(D[i][j] % p for j in range(t + 1, n)):
+            if any(A[i][j] % p for j in range(t + 1, n)):
                 offender = i
                 break
         if offender >= 0:
@@ -150,7 +135,10 @@ def _snf(M, ncols, want_u, want_v):
             continue
         t += 1
 
-    return U, D, V
+    D, V = A[:m], (A[m:] if want_v else None)
+    if not want_u:
+        return None, D, V
+    return [row[n:] for row in D], [row[:n] for row in D], V
 
 
 def smith_normal_form(M, ncols=None):

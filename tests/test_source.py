@@ -110,6 +110,18 @@ def test_unit_elimination_has_two_callers():
     ]
 
 
+def test_the_smith_elimination_never_asks_for_its_transforms():
+    # U and V are rows and columns of the one matrix _snf eliminates, so
+    # its elimination loop has no branch for them
+    with open(os.path.join(SRC, "intlinalg.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    snf = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_snf")
+    loop = next(n for n in snf.body if isinstance(n, ast.While))
+    names = {n.id for n in ast.walk(loop) if isinstance(n, ast.Name)}
+    assert names.isdisjoint({"want_u", "want_v", "U", "V"})
+    assert "_identity" not in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
 def test_one_latin_search_path():
     # the Latin search always prunes to the least table of each relabeling
     # orbit; dedup only chooses whether enumerate_ktqs expands the orbits
