@@ -56,13 +56,15 @@ def _check_cocycle(X, phi):
         raise MathError("cocycle refers to elements outside the algebra")
 
 
-def _chains(d, X, cols, test_cycles):
-    """The associated chain of each coloring.  With test_cycles, MathError
-    when one is not a cycle: the diagram does not close up."""
+def _chains(d, X, cols, tested=()):
+    """The associated chain of each coloring.  MathError when one is not a
+    cycle, the diagram does not close up; the chains of the colorings in
+    tested are left to the class checks, which test them."""
     chains = {col: associated_chain(d, X, col) for col in cols}
-    if test_cycles:
+    rest = [z for col, z in chains.items() if col not in tested]
+    if rest:
         d1, index = boundary_columns(X, 1, "full"), triple_index(X.order)
-        if not all(is_cycle(d1, index, z) for z in chains.values()):
+        if not all(is_cycle(d1, index, z) for z in rest):
             raise MathError("the diagram does not close up: a chain is not a cycle")
     return chains
 
@@ -83,7 +85,7 @@ def state_sum(d, X, phi):
     the associated chain (markers contribute nothing), and record one
     group-ring unit at the resulting residue."""
     _check_cocycle(X, phi)
-    return _state_sums(_chains(d, X, colorings(d, X), True).values(), [phi])[0]
+    return _state_sums(_chains(d, X, colorings(d, X)).values(), [phi])[0]
 
 
 def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
@@ -113,9 +115,11 @@ def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
     cocycles = tuple(cocycles)
     chains1 = chains2 = {}
     if correspondence is not None or cocycles:
-        # the class checks below test the matched chains for cycles
-        test = correspondence is None
-        chains1, chains2 = _chains(d1, X, cols1, test), _chains(d2, X, cols2, test)
+        tested1 = tested2 = ()
+        if correspondence is not None and variant.diff_kind == "full":
+            # the class checks below test the matched chains for cycles
+            tested1, tested2 = {c1 for c1, _ in matched}, {c2 for _, c2 in matched}
+        chains1, chains2 = _chains(d1, X, cols1, tested1), _chains(d2, X, cols2, tested2)
 
     classes_equal = True
     if correspondence is not None:

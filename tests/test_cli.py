@@ -320,15 +320,27 @@ def test_the_degree1_relation_lattice_is_bounded_like_homology(command, tmp_path
     assert "needs 14^3 + 14^4 generators" in capsys.readouterr().err
 
 
+# a lone crossing, and one whose colorings a correspondence matches only in
+# part: 27 of its 81, so the class checks test no more than those 27
+OPEN_FILES = {
+    "open.dg": "diagram 4\nP 0 1 2 3\n",
+    "phi.coc": "cocycle 3\n0 1 0 -> 2\n",
+    "open5.dg": "diagram 5\nN 3 2 0 1\n",
+    "closed2.dg": "diagram 2\nP 1 0 1 1\n",
+    "part.corr": "1 0\n2 1\n",
+}
+
+
 @pytest.mark.parametrize("command", [
     ["statesum", "open.dg", "phi.coc"],
     ["compare", "open.dg", fixture_path("unknot0.dg"), "--mod", "3"],
+    ["compare", "open5.dg", "closed2.dg", "--mod", "3", "--correspondence", "part.corr"],
 ])
 def test_a_diagram_that_does_not_close_up_is_refused(command, tmp_path, capsys):
-    # a lone crossing: no class check tests its chains, the state sums do
-    (tmp_path / "open.dg").write_text("diagram 4\nP 0 1 2 3\n")
-    (tmp_path / "phi.coc").write_text("cocycle 3\n0 1 0 -> 2\n")
-    argv = [str(tmp_path / a) if a in ("open.dg", "phi.coc") else a for a in command]
+    # every chain a state sum reads is tested for a cycle
+    for name, text in OPEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in OPEN_FILES else a for a in command]
     code, out = run(argv[0], fixture_path("z3linear.ktq"), *argv[1:])
     assert (code, out) == (3, "")
     assert "does not close up" in capsys.readouterr().err
