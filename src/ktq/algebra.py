@@ -324,8 +324,6 @@ def affine_table(n, alpha, beta, gamma):
     Not validated here; it is a quasigroup iff alpha, beta and gamma are all
     units mod n.
     """
-    if n < 1:
-        raise FormatError("order must be a positive integer")
     return OpTable.from_function(
         n, lambda x, y, z: (alpha * x + beta * y + gamma * z) % n
     )

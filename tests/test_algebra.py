@@ -30,6 +30,8 @@ def test_optable_call_matches_from_function():
 def test_optable_rejects_out_of_range_entries():
     with pytest.raises(FormatError):
         OpTable(2, (0, 1, 1, 0, 1, 0, 0, 2))
+    with pytest.raises(FormatError, match="order must be a positive integer"):
+        affine_table(0, 1, 1, 1)
 
 
 def test_serialize_parse_roundtrip():
