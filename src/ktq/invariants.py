@@ -109,17 +109,16 @@ def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
     counts_equal = n1 == n2
     rows.append(("colorings.equal", "yes" if counts_equal else "no"))
 
+    matched = ()
     if correspondence is not None:
         # join first: an oversized join is refused before any chain is built
         matched = matched_colorings(d1, d2, cols1, cols2, correspondence)
     cocycles = tuple(cocycles)
     chains1 = chains2 = {}
     if correspondence is not None or cocycles:
-        tested1 = tested2 = ()
-        if correspondence is not None and variant.diff_kind == "full":
-            # the class checks below test the matched chains for cycles
-            tested1, tested2 = {c1 for c1, _ in matched}, {c2 for _, c2 in matched}
-        chains1, chains2 = _chains(d1, X, cols1, tested1), _chains(d2, X, cols2, tested2)
+        # the class checks below test the chains of the matched colorings
+        chains1 = _chains(d1, X, cols1, {c1 for c1, _ in matched})
+        chains2 = _chains(d2, X, cols2, {c2 for _, c2 in matched})
 
     classes_equal = True
     if correspondence is not None:
