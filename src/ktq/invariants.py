@@ -58,8 +58,8 @@ def _check_cocycle(X, phi):
 
 def _chains(d, X, cols, tested=()):
     """The associated chain of each coloring.  MathError when one is not a
-    cycle, the diagram does not close up; the chains of the colorings in
-    tested are left to the class checks, which test them."""
+    cycle (the diagram does not close up), except for the colorings in
+    tested, whose chains the class checks test."""
     chains = {col: associated_chain(d, X, col) for col in cols}
     rest = [z for col, z in chains.items() if col not in tested]
     if rest:
