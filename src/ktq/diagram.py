@@ -107,9 +107,16 @@ def is_valid_coloring(d, X, col):
     return True
 
 
-#: The most leaves a coloring search may visit, |X|**seeds.  The tests need
-#: at most 5^6, the benchmark diagrams 5^4 and 3^6.
+#: The most leaves (|X|**seeds) and regions of a coloring search.  The tests
+#: need at most 5^6 leaves, the benchmark diagrams 5^4 and 3^6.
 MAX_LEAVES = 10 ** 6
+
+
+def _check_leaves(order, seeds):
+    # the exponent is capped, since 2**64 already exceeds the limit
+    if order ** max(0, min(seeds, 64)) > MAX_LEAVES:
+        raise MathError("coloring needs %d^%d search leaves, more than %d"
+                        % (order, seeds, MAX_LEAVES))
 
 
 def _search_plan(d, tables):
@@ -173,15 +180,20 @@ def colorings(d, X):
     seed values of each step in increasing order, fills the step's forced
     classes by table lookups and checks its crossings.  Seeds are first
     uncolored regions, so depth-first order is lexicographic order.  A
-    search of more than MAX_LEAVES leaves is refused before it starts.
+    search of more than MAX_LEAVES leaves is refused before it starts, and
+    before its plan when the regions or order**(regions - crossings -
+    markers) exceed MAX_LEAVES: that exponent bounds the seeds from below.
     """
     _check_algebra(d, X)
     order, t = X.order, X.t.values
+    if d.num_regions > MAX_LEAVES:
+        raise MathError("coloring a diagram of %d regions, more than %d"
+                        % (d.num_regions, MAX_LEAVES))
+    # each crossing forces at most one class, each marker merges at most two
+    markers = sum(cr.kind == "M" for cr in d.crossings)
+    _check_leaves(order, d.num_regions - len(d.crossings) - markers)
     cls, steps = _search_plan(d, (X.l.values, X.m.values, X.r.values, t))
-    # the exponent is capped, since 2**64 already exceeds the limit
-    if order ** min(len(steps), 64) > MAX_LEAVES:
-        raise MathError("coloring needs %d^%d search leaves, more than %d"
-                        % (order, len(steps), MAX_LEAVES))
+    _check_leaves(order, len(steps))
     color, out = [0] * len(cls), []
     nxt = [0] * len(steps)  # the stack: the next value of each step's seed
     level, last = 0, len(steps) - 1

@@ -218,10 +218,15 @@ def _free_homology(differential, n):
         return AbelianGroup(0)
     cols_n1, dim_n = differential(n + 1)
     _check_square(cols_n, cols_n1, n)
-    rank_n = len(elementary_divisors(cols_n, rows_n))
-    divisors = elementary_divisors(cols_n1, dim_n)
+    divisors_n, pivots = elementary_divisors(cols_n, rows_n)
+    # reduction along the complex (Kaczynski, Mrozek and Slusarek 1998): the
+    # unit pivots of d_n form a unimodular block of it, so, as d_n d_{n+1} =
+    # 0, the rows of d_{n+1} at their columns are integer combinations of its
+    # other rows, and without them it keeps its divisors
+    cols_n1 = [{i: a for i, a in col.items() if i not in pivots} for col in cols_n1]
+    divisors, _ = elementary_divisors(cols_n1, dim_n)
     return AbelianGroup(
-        dim_n - rank_n - len(divisors), tuple(d for d in divisors if d > 1)
+        dim_n - len(divisors_n) - len(divisors), tuple(d for d in divisors if d > 1)
     )
 
 

@@ -52,20 +52,16 @@ def _shape(M, ncols):
     return m, ncols
 
 
-def _snf(M, ncols, want_u, want_v):
-    """(U, D, V) with D = U*M*V in Smith form, U and V None unless wanted.
+def _snf(M, ncols, want_v):
+    """(D, V) with D = U*M*V in Smith form for some unimodular U, and V
+    None unless wanted.
 
-    One matrix A is eliminated: the m rows of M, each followed by its row
-    of U when want_u, then, when want_v, the n rows of V.  Row operations
-    act on the first m rows, whole, so they update D and U together; column
-    operations act on columns 0..n-1 of every row, so they update D and V
-    together.
+    One matrix A is eliminated: the m rows of M, then, when want_v, the n
+    rows of V.  Row operations act on the first m rows; column operations
+    act on columns 0..n-1 of every row, so they update D and V together.
     """
     m, n = _shape(M, ncols)
     A = [list(row) for row in M]
-    if want_u:
-        for i, row in enumerate(A):
-            row += [int(i == j) for j in range(m)]
     if want_v:
         A += [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -135,21 +131,18 @@ def _snf(M, ncols, want_u, want_v):
             continue
         t += 1
 
-    D, V = A[:m], (A[m:] if want_v else None)
-    if not want_u:
-        return None, D, V
-    return [row[n:] for row in D], [row[:n] for row in D], V
+    return A[:m], (A[m:] if want_v else None)
 
 
 def smith_normal_form(M, ncols=None):
-    """Return (U, D, V) with D = U*M*V, U and V unimodular, D diagonal with
-    nonnegative entries satisfying d_i | d_{i+1}."""
-    return _snf(M, ncols, True, True)
+    """Return (D, V) with D = U*M*V for some unimodular U, V unimodular, D
+    diagonal with nonnegative entries satisfying d_i | d_{i+1}."""
+    return _snf(M, ncols, True)
 
 
 def snf_diagonal(M, ncols=None):
-    """The diagonal of the Smith form only (no transforms tracked)."""
-    _, D, _ = _snf(M, ncols, False, False)
+    """The diagonal of the Smith form only (no transform tracked)."""
+    D, _ = _snf(M, ncols, False)
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
@@ -339,7 +332,7 @@ class LatticeSolver:
         eliminated = {pivot[0] for pivot in pivots}
         free = [j for j in range(n) if j not in eliminated]
         R = _dense_block(self._left, free)
-        _, D, V = _snf(R, len(free), False, True)
+        D, V = _snf(R, len(free), True)
         gens = []
         for c in range(len(free)):
             d = D[c][c] if c < len(R) else 0
@@ -498,15 +491,16 @@ def _dense_block(cols, order):
 
 
 def elementary_divisors(columns, nrows):
-    """The nonzero invariant factors d1 | d2 | ... of a sparse integer
-    matrix with nrows rows, given as a list of columns {row: coeff}.
+    """(divisors, pivots): the nonzero invariant factors d1 | d2 | ... of a
+    sparse integer matrix with nrows rows, given as a list of columns
+    {row: coeff}, and the set of the columns of its unit pivots.
 
     Entries +-1 are eliminated first (_eliminate_units), each contributing
     the factor 1.  Only the block left without unit entries goes to the
     dense Smith form.
     """
     pivots, cols = _eliminate_units(columns, nrows)
-    units = [1] * len(pivots)
-    if not cols:
-        return units
-    return units + [d for d in snf_diagonal(_dense_block(cols, list(cols)), len(cols)) if d]
+    divisors = [1] * len(pivots)
+    if cols:
+        divisors += [d for d in snf_diagonal(_dense_block(cols, list(cols)), len(cols)) if d]
+    return divisors, {j for j, _, _ in pivots}

@@ -347,14 +347,22 @@ def test_a_diagram_that_does_not_close_up_is_refused(command, tmp_path, capsys):
 
 
 def test_oversized_coloring_search_is_refused_before_it_starts(tmp_path, capsys):
-    # 40 regions and no crossing: 3^40 colorings
+    # no crossing: 40 regions make 3^40 colorings, and a huge region count
+    # is refused before the search plan, over order 1 too
     dg = tmp_path / "wide.dg"
-    dg.write_text("diagram 40\n")
-    start = time.perf_counter()
-    code, out = run("color", fixture_path("z3linear.ktq"), str(dg))
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (3, "")
-    assert "needs 3^40 search leaves" in capsys.readouterr().err
+    for algebra, regions, message in (
+        ("z3linear.ktq", 40, "needs 3^40 search leaves"),
+        ("z3linear.ktq", 99999999999, "99999999999 regions, more than 1000000"),
+        ("z3linear.ktq", 3000000, "3000000 regions, more than 1000000"),
+        ("order1.ktq", 99999999999, "99999999999 regions, more than 1000000"),
+        ("order1.ktq", 20000000, "20000000 regions, more than 1000000"),
+    ):
+        dg.write_text("diagram %d\n" % regions)
+        start = time.perf_counter()
+        code, out = run("color", fixture_path(algebra), str(dg))
+        assert time.perf_counter() - start < 1.0, (algebra, regions)
+        assert (code, out) == (3, ""), (algebra, regions)
+        assert message in capsys.readouterr().err
 
 
 def test_an_oversized_class_check_join_is_refused(monkeypatch, tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 The relation lattice im d_2 + R_1 is assembled here from the face-by-face
 chains.boundary_tuple and from chains.relator_generators, and its rank
-over F_p comes from an elimination written here, so the check goes
-through neither the cached differentials, the mapping cone nor intlinalg.
+over F_p comes from the elimination of tests/rank_oracle.py, so the
+check goes through neither the cached differentials, the mapping cone
+nor intlinalg.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from ktq.chains import boundary_tuple, relator_generators
 from ktq.homology import HomologyVariant, chain_basis, two_cocycles
 
 from conftest import load_algebra
+from rank_oracle import rank_mod_p
 
 # the relator sets whose quotient variant each fixture quasigroup accepts;
 # z3sum is a quasigroup whose differential does not square to zero
@@ -26,30 +28,6 @@ ACCEPTED = {
 }
 PRIMES = (2, 3, 5)
 MODULI = (2, 3, 4, 5, 6)
-
-
-def rank_mod_p(rows, p):
-    """Rank over F_p of sparse rows {column: coeff}: each row is reduced
-    by the pivot rows kept so far, from its least column on, and kept,
-    scaled to a leading 1, when its least column holds no pivot."""
-    pivots = {}
-    for row in rows:
-        v = {c: a % p for c, a in row.items() if a % p}
-        while v:
-            c = min(v)
-            h = pivots.get(c)
-            if h is None:
-                inv = pow(v[c], p - 2, p)
-                pivots[c] = {k: a * inv % p for k, a in v.items()}
-                break
-            f = v[c]
-            for k, a in h.items():
-                x = (v.get(k, 0) - f * a) % p
-                if x:
-                    v[k] = x
-                else:
-                    v.pop(k, None)
-    return len(pivots)
 
 
 def test_rank_mod_p_on_small_matrices():

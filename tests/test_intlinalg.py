@@ -1,7 +1,8 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from ktq.intlinalg import (
 )
 
 import hnf_oracle
+from rank_oracle import rank_mod_p
 
 
 def det(M):
@@ -59,33 +61,51 @@ def test_snf_known_matrix():
     assert D == [2, 4]
 
 
+def invariant_factors(M, cols):
+    """The nonzero invariant factors of M from its determinantal divisors:
+    d_k, the gcd of the k x k minors, is s_1 * ... * s_k (test oracle)."""
+    factors, prev = [], 1
+    for k in range(1, min(len(M), cols) + 1):
+        d_k = 0
+        for rows in combinations(range(len(M)), k):
+            for cs in combinations(range(cols), k):
+                d_k = gcd(d_k, int(det([[M[i][j] for j in cs] for i in rows])))
+        if d_k == 0:
+            break
+        factors.append(d_k // prev)
+        prev = d_k
+    return factors
+
+
+def check_smith_form(M, cols):
+    """D against the determinantal divisors of M, and V unimodular with M*V
+    zero past the rank and its column j a multiple of d_j before it."""
+    D, V = smith_normal_form(M, cols)
+    rows = len(M)
+    factors = invariant_factors(M, cols)
+    r = len(factors)
+    expect = [[factors[i] if i == j and i < r else 0 for j in range(cols)] for i in range(rows)]
+    assert D == expect, M
+    assert len(V) == cols and abs(det(V)) == 1
+    for row in matmul(M, V):
+        assert all(x % factors[j] == 0 for j, x in enumerate(row[:r]))
+        assert not any(row[r:])
+
+
 def test_snf_properties_random():
     rng = random.Random(7)
     for _ in range(60):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        M = random_matrix(rng, rows, cols)
-        U, D, V = smith_normal_form(M, cols)
-        assert matmul(matmul(U, M), V) == D
-        assert abs(det(U)) == 1
-        assert abs(det(V)) == 1
-        diag = [D[i][i] for i in range(min(rows, cols))]
-        for i in range(len(diag) - 1):
-            if diag[i + 1]:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-            for j in range(rows):
-                for k in range(cols):
-                    if j != k:
-                        assert D[j][k] == 0
-        if rows == cols:
-            assert abs(det(M)) == abs(det(D))
+        check_smith_form(random_matrix(rng, rows, cols), cols)
 
 
 def test_snf_zero_and_empty_shapes():
     assert snf_diagonal([[0, 0], [0, 0]]) == [0, 0]
     assert snf_diagonal([], ncols=3) == []
-    U, D, V = smith_normal_form([[0, 0, 0]], 3)
-    assert D == [[0, 0, 0]]
+    for M, cols in (([[0, 0, 0]], 3), ([[0], [0]], 1), ([], 2), ([[6, 0], [0, 4]], 2)):
+        check_smith_form(M, cols)
+    assert smith_normal_form([[0, 0, 0]], 3) == ([[0, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def smith_inputs(rng, count):
@@ -120,10 +140,10 @@ SMITH_MODULI = (2, 3, 4, 6, 12)
 def test_smith_forms_and_kernels_are_frozen():
     # D and V of smith_normal_form (V builds the generators that `ktq
     # cocycles` prints) and the generators of kernel_mod, over 200 fixed
-    # matrices; U is left out
+    # matrices
     h = hashlib.sha256()
     for M, n in smith_inputs(random.Random(20), 200):
-        _, D, V = smith_normal_form(M, n)
+        D, V = smith_normal_form(M, n)
         h.update(repr((D, V)).encode())
         for q in SMITH_MODULI:
             h.update(repr(kernel_mod(M, q, n)).encode())
@@ -246,14 +266,21 @@ def test_elementary_divisors_match_dense_snf():
             for _ in range(rows)
         ]
         expect = [d for d in snf_diagonal(M, cols) if d]
-        assert elementary_divisors(sparse_columns(M, cols), rows) == expect, M
+        assert elementary_divisors(sparse_columns(M, cols), rows)[0] == expect, M
 
 
 def test_elementary_divisors_of_non_unit_blocks():
     # no unit entry at all: everything goes to the dense Smith form
-    assert elementary_divisors(sparse_columns([[2, 4], [6, 8]], 2), 2) == [2, 4]
-    assert elementary_divisors([{0: 2}, {}], 3) == [2]
-    assert elementary_divisors([], 0) == []
+    assert elementary_divisors(sparse_columns([[2, 4], [6, 8]], 2), 2) == ([2, 4], set())
+    assert elementary_divisors([{0: 2}, {}], 3) == ([2], set())
+    assert elementary_divisors([], 0) == ([], set())
+
+
+def test_elementary_divisors_name_the_unit_pivot_columns():
+    # [[2, 1, 0], [4, 0, 6]]: the unit in column 1 leaves the row [4, 6]
+    assert elementary_divisors(sparse_columns([[2, 1, 0], [4, 0, 6]], 3), 2) == ([1, 2], {1})
+    # [[1, 1], [1, -1]]: the first unit leaves -2
+    assert elementary_divisors(sparse_columns([[1, 1], [1, -1]], 2), 2) == ([1, 2], {0})
 
 
 def test_kernel_int():
@@ -297,25 +324,6 @@ def span_mod(gens, cols, m):
     return spanned
 
 
-def rank_mod_p(M, cols, p):
-    """Rank over F_p by Gauss-Jordan elimination (test oracle)."""
-    A = [[x % p for x in row] for row in M]
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], p - 2, p)
-        A[r] = [x * inv % p for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        r += 1
-    return r
-
-
 def test_kernel_mod_matches_brute_force():
     rng = random.Random(3)
     for m in (2, 3, 4, 6):
@@ -345,7 +353,8 @@ def test_kernel_mod_spans_the_kernel(system):
     assert all(len(g) == cols and all(0 <= x < m for x in g) and any(g) for g in gens)
     assert span_mod(gens, cols, m) == kernel_brute(M, cols, m)
     if all(m % q for q in range(2, m)):
-        assert len(gens) == cols - rank_mod_p(M, cols, m)
+        rows = [{j: a for j, a in enumerate(row) if a} for row in M]
+        assert len(gens) == cols - rank_mod_p(rows, m)
 
 
 def test_cokernel_groups():

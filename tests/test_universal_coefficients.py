@@ -10,7 +10,7 @@ side comes from the complex restricted to a set of tuples: the plain
 complex takes all of them, the D-quotient the nondegenerate ones (faces
 that are degenerate drop out) and the D-subcomplex the degenerate ones.
 Its differentials come from the face-by-face chains.boundary_tuple and
-its ranks from the mod-p elimination of tests/test_cocycle_oracle.py, so
+its ranks from the mod-p elimination of tests/rank_oracle.py, so
 the check goes through neither the cached differentials, the mapping cone
 nor intlinalg.
 """
@@ -24,7 +24,7 @@ from ktq.chains import all_tuples, boundary_tuple
 from ktq.homology import HomologyVariant, homology
 
 from conftest import load_algebra
-from test_cocycle_oracle import rank_mod_p
+from rank_oracle import rank_mod_p
 
 PRIMES = (2, 3, 5)
 FIXTURES = ("order1", "z2sum", "z2sum1", "z3linear", "z5affine")
