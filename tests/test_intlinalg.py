@@ -81,10 +81,9 @@ def check_smith_form(M, cols):
     """D against the determinantal divisors of M, and V unimodular with M*V
     zero past the rank and its column j a multiple of d_j before it."""
     D, V = smith_normal_form(M, cols)
-    rows = len(M)
     factors = invariant_factors(M, cols)
     r = len(factors)
-    expect = [[factors[i] if i == j and i < r else 0 for j in range(cols)] for i in range(rows)]
+    expect = [[factors[i] if i == j and i < r else 0 for j in range(cols)] for i in range(len(M))]
     assert D == expect, M
     assert len(V) == cols and abs(det(V)) == 1
     for row in matmul(M, V):
@@ -105,7 +104,6 @@ def test_snf_zero_and_empty_shapes():
     assert snf_diagonal([], ncols=3) == []
     for M, cols in (([[0, 0, 0]], 3), ([[0], [0]], 1), ([], 2), ([[6, 0], [0, 4]], 2)):
         check_smith_form(M, cols)
-    assert smith_normal_form([[0, 0, 0]], 3) == ([[0, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def smith_inputs(rng, count):
