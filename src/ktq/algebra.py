@@ -307,8 +307,18 @@ def check_a3(t):
     return A3Report(wl is None, wr is None, wl, wr)
 
 
+#: The most A3 quadruples, order**4, that classify checks: order 40
+#: (2,560,000) is admitted, at 4.6-5.7 s for `ktq verify` on a 2-core VM with
+#: Python 3.11, the scale of the slowest admitted homology request.
+MAX_A3_QUADRUPLES = 40 ** 4
+
+
 def classify(t):
-    """Build a TernaryQuasigroup with all flags set for the given table."""
+    """Build a TernaryQuasigroup with all flags set for the given table.
+    An order past MAX_A3_QUADRUPLES is refused before anything is checked."""
+    if t.order ** 4 > MAX_A3_QUADRUPLES:
+        raise MathError("order %d needs %d^4 A3 quadruples, more than %d"
+                        % (t.order, t.order, MAX_A3_QUADRUPLES))
     try:
         l, m, r = derive_divisions(t)
     except MathError:  # not a quasigroup

@@ -143,10 +143,10 @@ def _search_plan(d, tables):
             root[find(q)] = find(q2)
     cls = [find(r) for r in range(n)]
     crossings = [tuple(cls[r] for r in cr.corners) for cr in d.crossings if cr.kind != "M"]
-    watch = [[] for _ in range(n)]
+    watch = {}  # only the classes some crossing touches
     for i, corners in enumerate(crossings):
         for k in set(corners):
-            watch[k].append(i)
+            watch.setdefault(k, []).append(i)
     colored, planned, steps = [False] * n, [False] * len(crossings), []
     for seed in cls:
         if colored[seed]:
@@ -154,7 +154,7 @@ def _search_plan(d, tables):
         colored[seed] = True
         trail, forced, checks = [seed], [], []
         for k in trail:  # the propagation queue: it grows while it is read
-            for i in watch[k]:
+            for i in watch.get(k, ()):
                 corners = crossings[i]
                 missing = [s for s in range(4) if not colored[corners[s]]]
                 if planned[i] or len(missing) > 1:
@@ -169,7 +169,7 @@ def _search_plan(d, tables):
                 forced.append((corners[s], tables[s], *args[:3]))
                 colored[corners[s]] = True
                 trail.append(corners[s])
-        steps.append((seed, forced, checks))
+        steps.append((seed, tuple(forced), tuple(checks)))
     return cls, steps
 
 

@@ -25,9 +25,9 @@ im d_2 + R_1 (d_2 of the cone; its rows are the triples, since R_0 = 0),
 under the preconditions of homology(X, 1, v).  A process builds and
 eliminates it once: one cached LatticeSolver answers the checker's
 membership questions and gives the mod-m cocycles from the same unit
-pivots, and never builds the lattice's Hermite basis.  A chain is a cycle
-when its product with the cached d_1 vanishes (is_cycle), as the checker
-and the state sums of ktq.invariants test it.
+pivots, and never builds the lattice's Hermite basis.  A chain becomes a
+sparse column by the same base-|X| arithmetic (chain_column); _product is
+every product of columns with a vector: d_n d_{n+1}, d of R, is_cycle.
 
 A differential that does not square to zero, or relators that do not span
 a subcomplex, raise MathError.  All arithmetic is exact.
@@ -36,7 +36,7 @@ a subcomplex, raise MathError.  All arithmetic is exact.
 from functools import lru_cache
 from .chains import SIDES, all_tuples, face_entries, relator_generators
 from .errors import FormatError, MathError, integers, read_records
-from .intlinalg import AbelianGroup, LatticeSolver, dense_matrix, elementary_divisors
+from .intlinalg import AbelianGroup, LatticeSolver, _axpy, dense_matrix, elementary_divisors
 from .variants import HomologyVariant
 
 # Re-exported: the variant names live in ktq.variants, which the command
@@ -62,11 +62,26 @@ def chain_vector(c, index):
     return vec
 
 
-def _chain_columns(chains, order, n):
-    """Chains of degree n as sparse columns {row: coeff}, rows indexed by
-    the degree-n basis."""
-    index = {t: i for i, t in enumerate(chain_basis(order, n))}
-    return [{index[t]: c for t, c in chain.terms.items()} for chain in chains]
+def chain_column(order, c):
+    """A chain as a sparse column {row: coeff}, a tuple's row being its
+    value in base |X|.  MathError for an entry outside the algebra."""
+    col = {}
+    for t, a in c.terms.items():
+        i = 0
+        for x in t:
+            if not 0 <= x < order:
+                raise MathError("a chain refers to elements outside the algebra")
+            i = i * order + x
+        col[i] = a
+    return col
+
+
+def _product(cols, v):
+    """The sparse columns cols times the sparse vector v {column: coeff}."""
+    out = {}
+    for j, a in v.items():
+        _axpy(out, a, cols[j])
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -114,7 +129,7 @@ def _relator_columns(X, n, relators):
     """Relator generators of degree n as sparse columns {row: coeff}."""
     if relators == "none" or n < 1:
         return []
-    return _chain_columns(relator_generators(X, n, relators), X.order, n)
+    return [chain_column(X.order, g) for g in relator_generators(X, n, relators)]
 
 
 def relator_columns(X, n, relators):
@@ -155,16 +170,9 @@ class _RelatorLattices:
         coordinates of the Hermite basis of R_{m-1}."""
         lat, below = self.lattice(m), self.lattice(m - 1)
         d = boundary_columns(self.X, m, self.kind) if lat.basis else ()
-        cols = []
-        for p in lat.basis:
-            w = {}
-            for j, a in p.items():
-                for i, c in d[j].items():
-                    w[i] = w.get(i, 0) + a * c
-            coords = below.coordinates(w)
-            if coords is None:
-                raise MathError("differential leaves the relator subcomplex")
-            cols.append(coords)
+        cols = [below.coordinates(_product(d, p)) for p in lat.basis]
+        if None in cols:
+            raise MathError("differential leaves the relator subcomplex")
         return cols, len(below.basis)
 
     def cone(self, m):
@@ -202,13 +210,8 @@ def _check_request(X, n, v):
 
 def _check_square(cols_n, cols_n1, n):
     """Refuse sparse differentials d_n, d_{n+1} with d_n d_{n+1} != 0."""
-    for col in cols_n1:
-        acc = {}
-        for i, a in col.items():
-            for k, b in cols_n[i].items():
-                acc[k] = acc.get(k, 0) + a * b
-        if any(acc.values()):
-            raise MathError("the differential does not square to zero in degree %d" % n)
+    if any(_product(cols_n, col) for col in cols_n1):
+        raise MathError("the differential does not square to zero in degree %d" % n)
 
 
 def _free_homology(differential, n):
@@ -312,19 +315,9 @@ def two_cocycles(X, modulus, v):
     ]
 
 
-def triple_index(order):
-    """The column of each triple in the degree-1 basis."""
-    return {t: i for i, t in enumerate(chain_basis(order, 1))}
-
-
-def is_cycle(d1, index, c):
-    """Whether the degree-1 chain c is a cycle, for d1 the columns of
-    boundary_columns(X, 1, kind) and index = triple_index(X.order)."""
-    acc = {}
-    for t, a in c.terms.items():
-        for i, b in d1[index[t]].items():
-            acc[i] = acc.get(i, 0) + a * b
-    return not any(acc.values())
+def is_cycle(d1, col):
+    """Whether d1, the columns of boundary_columns(X, 1, kind), kills col."""
+    return not _product(d1, col)
 
 
 class HomologyClassChecker:
@@ -339,21 +332,22 @@ class HomologyClassChecker:
     def __init__(self, X, v=HomologyVariant("D", "quotient", "full")):
         if v.mode != "quotient":
             raise MathError("homology classes are compared in quotient mode only")
-        self.index = triple_index(X.order)
+        self.order = X.order
         self.solver = _degree1_relations(X, v)
         self.d1 = boundary_columns(X, 1, v.diff_kind)
 
-    def _check_cycle(self, c, name):
+    def _cycle_column(self, c, name):
         if c.degree != 1:
             raise MathError("%s chain must have degree 1" % name)
-        if not is_cycle(self.d1, self.index, c):
+        col = chain_column(self.order, c)
+        if not is_cycle(self.d1, col):
             raise MathError("%s chain is not a cycle" % name)
+        return col
 
     def equal(self, c1, c2):
-        self._check_cycle(c1, "first")
-        self._check_cycle(c2, "second")
-        diff = c1 - c2
-        return self.solver.member({self.index[t]: a for t, a in diff.terms.items()})
+        diff = self._cycle_column(c1, "first")
+        _axpy(diff, -1, self._cycle_column(c2, "second"))
+        return self.solver.member(diff)
 
 
 def parse_cocycle(text):

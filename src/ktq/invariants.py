@@ -20,8 +20,8 @@ from .homology import (
     HomologyClassChecker,
     HomologyVariant,
     boundary_columns,
+    chain_column,
     is_cycle,
-    triple_index,
 )
 
 
@@ -63,8 +63,8 @@ def _chains(d, X, cols, tested=()):
     chains = {col: associated_chain(d, X, col) for col in cols}
     rest = [z for col, z in chains.items() if col not in tested]
     if rest:
-        d1, index = boundary_columns(X, 1, "full"), triple_index(X.order)
-        if not all(is_cycle(d1, index, z) for z in rest):
+        d1 = boundary_columns(X, 1, "full")
+        if not all(is_cycle(d1, chain_column(X.order, z)) for z in rest):
             raise MathError("the diagram does not close up: a chain is not a cycle")
     return chains
 

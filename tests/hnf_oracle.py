@@ -3,13 +3,14 @@ Hermite routine of ktq.intlinalg replaced, kept as an oracle: every column
 operation runs on the whole dense matrix (and its transform)."""
 
 
-def column_hnf(M, ncols):
-    """(H, W, pivots) with H = M*W, W unimodular, pivots (row, col) with
-    strictly increasing rows, positive pivots and earlier columns reduced to
-    [0, pivot) in each pivot row; columns after the last pivot are zero."""
+def column_hnf(M, ncols, transform=True):
+    """(H, W, pivots) with H = M*W, W unimodular (None unless transform),
+    pivots (row, col) with strictly increasing rows, positive pivots and
+    earlier columns reduced to [0, pivot) in each pivot row; columns after
+    the last pivot are zero."""
     m, n = len(M), ncols
     H = [list(row) for row in M]
-    W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    W = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transform else []
 
     def swap_cols(a, b):
         for row in H + W:
@@ -43,7 +44,7 @@ def column_hnf(M, ncols):
                 col_sub(j, c, q)
         pivots.append((i, c))
         c += 1
-    return H, W, pivots
+    return H, (W if transform else None), pivots
 
 
 class DenseLatticeSolver:

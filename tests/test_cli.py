@@ -8,7 +8,7 @@ import time
 import pytest
 
 import ktq.cli
-from ktq.algebra import OpTable, serialize_algebra
+from ktq.algebra import OpTable, affine_table, serialize_algebra
 from ktq.cli import cli_main
 
 from conftest import fixture_path
@@ -282,6 +282,21 @@ def test_an_oversized_enumeration_is_refused_before_it_allocates(order, capsys):
     assert "relabeling entries, more than 1000000" in capsys.readouterr().err
 
 
+def test_classify_refuses_an_order_past_its_a3_bound(tmp_path, capsys):
+    # the A3 check reads n^4 quadruples, and every subcommand classifies its
+    # algebra: x - y + z took 5.7 s at order 40 and 25.9 s at order 60
+    for n in (20, 45):
+        (tmp_path / ("%d.ktq" % n)).write_text(serialize_algebra(affine_table(n, 1, n - 1, 1)))
+    assert run("verify", str(tmp_path / "20.ktq")) == (
+        0, "quasigroup: yes, A3L: yes, A3R: yes, involutory: yes (IKTQ)\n"
+    )
+    start = time.perf_counter()
+    code, out = run("verify", str(tmp_path / "45.ktq"))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "order 45 needs 45^4 A3 quadruples, more than 2560000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,group", [
     (["z3linear.ktq", "--degree", "4"], "Z^243"),
     (["z3linear.ktq", "--degree", "4", "--relators", "D"], "Z^48"),
@@ -363,6 +378,30 @@ def test_oversized_coloring_search_is_refused_before_it_starts(tmp_path, capsys)
         assert time.perf_counter() - start < 1.0, (algebra, regions)
         assert (code, out) == (3, ""), (algebra, regions)
         assert message in capsys.readouterr().err
+
+
+def test_a_huge_crossing_free_diagram_costs_about_its_one_leaf(tmp_path):
+    # the largest region count admitted, over order 1: one coloring, so the
+    # plan's watch lists and per-step lists are all the cost there is (359 MB
+    # peak when every region and step had its own lists, 168 MB without)
+    dg = tmp_path / "wide.dg"
+    dg.write_text("diagram 1000000\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    child = (
+        "import resource, sys\n"
+        "from ktq.cli import cli_main\n"
+        "code = cli_main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child, "color", fixture_path("order1.ktq"), str(dg)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "colorings 1\n")
+    peak_kib = int(done.stderr.split()[-1])  # Linux reports ru_maxrss in KiB
+    assert peak_kib < 250 * 1024, peak_kib
 
 
 def test_an_oversized_class_check_join_is_refused(monkeypatch, tmp_path, capsys):

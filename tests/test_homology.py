@@ -142,6 +142,11 @@ def test_class_checker_detects_nontrivial_cycle(z3linear):
 def test_class_checker_rejects_non_cycles(z3linear):
     with pytest.raises(MathError):
         HomologyClassChecker(z3linear).equal(Chain.single((0, 0, 1)), Chain(1))
+    # a chain's rows are read in base 3, where (0, 0, 3) would read as
+    # (0, 1, 0): an entry outside the algebra is refused, past either end
+    for tup in ((0, 0, 3), (0, 0, -1)):
+        with pytest.raises(MathError, match="outside the algebra"):
+            HomologyClassChecker(z3linear).equal(Chain(1), Chain.single(tup))
 
 
 def test_cocycle_parse_serialize_roundtrip():

@@ -18,6 +18,7 @@ import io
 import pytest
 
 from ktq import MathError
+from ktq.algebra import classify, enumerate_ktqs
 from ktq.chains import boundary_tuple, is_d_degenerate
 from ktq.cli import cli_main
 from ktq.homology import (
@@ -337,4 +338,16 @@ def test_the_involution_part_does_not_split_off(order1):
         for v in (HomologyVariant(), HomologyVariant("I", "subcomplex"), HomologyVariant("I"))
     )
     assert (str(plain), str(sub), str(quot)) == ("Z", "Z", "Z/2")
+    assert primary_parts(plain) != direct_sum(sub, quot)
+
+
+def test_the_involution_and_degenerate_part_does_not_split_off():
+    # with the degenerate tuples as well, the ID-quotient of the fourth
+    # order-3 KTQ still gains 2-torsion: H_1 is Z^5, not Z^4 + Z + Z/2
+    X = classify(enumerate_ktqs(3, "ktq", dedup=True)[3])
+    plain, sub, quot = (
+        homology(X, 1, v)
+        for v in (HomologyVariant(), HomologyVariant("ID", "subcomplex"), HomologyVariant("ID"))
+    )
+    assert (str(plain), str(sub), str(quot)) == ("Z^5", "Z^4", "Z + Z/2")
     assert primary_parts(plain) != direct_sum(sub, quot)

@@ -186,6 +186,32 @@ def test_one_function_bounds_homology_work():
     ]
 
 
+def test_one_sparse_product_in_homology():
+    # d_n d_{n+1}, the differential of R and the cycle test all go through
+    # homology._product, one intlinalg._axpy per entry of the vector; no
+    # function there sums products into a dict by hand, acc.get(k, 0) + a * b
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    def sums_by_hand(node):
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.Call) and getattr(node.left.func, "attr", None) == "get"
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+        )
+
+    def in_homology(found):
+        return sorted(owner for owner in found if owner.startswith("homology."))
+
+    assert in_homology(_functions_where(calls("_product"))) == [
+        "homology._RelatorLattices.sub", "homology._check_square", "homology.is_cycle"
+    ]
+    assert in_homology(_functions_where(calls("_axpy"))) == [
+        "homology.HomologyClassChecker.equal", "homology._product"
+    ]
+    assert in_homology(_functions_where(sums_by_hand)) == []
+
+
 def test_invariants_read_no_crossing_data():
     # the crossing-sign rule lives in diagram.associated_chain alone: the
     # class checks and state sums read the chains it builds

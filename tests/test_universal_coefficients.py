@@ -1,5 +1,5 @@
-"""Universal coefficients: the plain and D homology groups of homology()
-against mod-p ranks of the same complexes, built here.
+"""Universal coefficients: the plain, D, I and ID homology groups of
+homology() against mod-p ranks of the same complexes, built here.
 
 For a free complex C and a prime p,
 
@@ -13,6 +13,13 @@ Its differentials come from the face-by-face chains.boundary_tuple and
 its ranks from the mod-p elimination of tests/rank_oracle.py, so
 the check goes through neither the cached differentials, the mapping cone
 nor intlinalg.
+
+The I and ID relators x + x[j] span a subcomplex R whose quotient C/R can
+have torsion in its chain groups, so there the check builds, from the
+relators written here, the Hermite basis of each R_n (tests/hnf_oracle.py),
+the differential of R in coordinates of those bases, and the mapping cone
+of R -> C, Cone_n = R_{n-1} + C_n with d(r, c) = (-d r, r + d c): free
+complexes whose homology is that of R and of C/R.
 """
 
 from itertools import product
@@ -24,6 +31,7 @@ from ktq.chains import all_tuples, boundary_tuple
 from ktq.homology import HomologyVariant, homology
 
 from conftest import load_algebra
+from hnf_oracle import column_hnf
 from rank_oracle import rank_mod_p
 
 PRIMES = (2, 3, 5)
@@ -69,13 +77,18 @@ def torsion_count(group, p):
     return sum(1 for d in group.torsion if d % p == 0)
 
 
-@pytest.mark.parametrize("name, X", ALGEBRAS, ids=[name for name, _ in ALGEBRAS])
-def test_homology_obeys_universal_coefficients(name, X):
-    top, primes = REACH.get(X.order, (2, PRIMES))
-    faces = {
+def face_table(X, top):
+    """The faces {face: coeff} of every tuple of degree -1 to top + 1."""
+    return {
         n: {tup: boundary_tuple(X, tup).terms for tup in all_tuples(X.order, n)}
         for n in range(-1, top + 2)
     }
+
+
+@pytest.mark.parametrize("name, X", ALGEBRAS, ids=[name for name, _ in ALGEBRAS])
+def test_homology_obeys_universal_coefficients(name, X):
+    top, primes = REACH.get(X.order, (2, PRIMES))
+    faces = face_table(X, top)
     for label, (variant, keeps) in COMPLEXES.items():
         basis = {
             n: [tup for tup in all_tuples(X.order, n) if keeps(X, tup)]
@@ -99,3 +112,100 @@ def test_homology_obeys_universal_coefficients(name, X):
                 + torsion_count(groups[n - 1], p)
             )
             assert mod_p == expected, (label, n, p, groups[n], groups[n - 1])
+
+
+def relators(X, n, names):
+    """The degree-n relators of the sets in names, each once, as sparse
+    chains {tuple: coeff}: D the degenerate tuples, I the sums x + x[j] for
+    1 <= j <= n, with x[j] slot j replaced by T(x_{j-1}, x_j, x_{j+1})."""
+    out = set()
+    for tup in all_tuples(X.order, n):
+        if "D" in names and degenerate(X, tup):
+            out.add(((tup, 1),))
+        if "I" in names:
+            for j in range(1, n + 1):
+                other = tup[:j] + (X.t(*tup[j - 1:j + 2]),) + tup[j + 1:]
+                out.add(((tup, 2),) if other == tup else tuple(sorted([(tup, 1), (other, 1)])))
+    return [dict(g) for g in sorted(out)]
+
+
+def coordinates(basis, v):
+    """The coefficients {k: q} of a sparse vector over a Hermite basis, a
+    list of (pivot row, sparse column) in increasing pivot order; None
+    when v is not in the lattice.  Sparse, since the dense
+    DenseLatticeSolver.coordinates reads every row for each of the
+    thousands of vectors an order-4 complex asks about."""
+    res, y = dict(v), {}
+    for k, (i, col) in enumerate(basis):
+        q, r = divmod(res.get(i, 0), col[i])
+        if r:
+            return None
+        if q:
+            y[k] = q
+            for row, a in col.items():
+                res[row] = res.get(row, 0) - q * a
+    return None if any(res.values()) else y
+
+
+IKTQS = [(name, X) for name, X in ALGEBRAS if X.is_iktq]
+
+
+@pytest.mark.parametrize("name, X", IKTQS, ids=[name for name, _ in IKTQS])
+def test_involutory_homology_obeys_universal_coefficients(name, X):
+    top, primes = REACH.get(X.order, (2, PRIMES))
+    faces = face_table(X, top)
+    index = {
+        n: {tup: i for i, tup in enumerate(all_tuples(X.order, n))} for n in range(-2, top + 2)
+    }
+
+    def d(n, chain):
+        """The boundary of a degree-n chain, sparse over the degree n-1 tuples."""
+        out = {}
+        for tup, c in chain.items():
+            for f, a in faces[n][tup].items():
+                k = index[n - 1][f]
+                out[k] = out.get(k, 0) + c * a
+        return out
+
+    for names in ("I", "ID"):
+        gens = {n: relators(X, n, names) for n in range(-1, top + 2)}
+        basis = {-2: []}
+        for n in range(-1, top + 1):
+            M = [[0] * len(gens[n]) for _ in index[n]]
+            for j, g in enumerate(gens[n]):
+                for tup, c in g.items():
+                    M[index[n][tup]][j] = c
+            H, _, pivots = column_hnf(M, len(gens[n]), transform=False)
+            basis[n] = [(i, {r: row[c] for r, row in enumerate(H) if row[c]}) for i, c in pivots]
+
+        def coords(n, chain):
+            y = coordinates(basis[n - 1], d(n, chain))
+            assert y is not None, (names, n, chain)  # d leaves R
+            return y
+
+        # the generators of R_n span it, and so R_n (x) F_p too: their
+        # images have the rank of each differential
+        sub, cone = {}, {}
+        for n in range(0, top + 2):
+            sub[n] = [coords(n, g) for g in gens[n]]
+            r = len(basis[n - 2])
+            cone[n] = [
+                {**{k: -q for k, q in coords(n - 1, g).items()},
+                 **{r + index[n - 1][tup]: c for tup, c in g.items()}}
+                for g in gens[n - 1]
+            ] + [{r + index[n - 1][f]: a for f, a in faces[n][tup].items()} for tup in index[n]]
+        dims = {
+            "subcomplex": {n: len(basis[n]) for n in range(top + 1)},
+            "quotient": {n: len(basis[n - 1]) + len(index[n]) for n in range(top + 1)},
+        }
+        for mode, rows in (("subcomplex", sub), ("quotient", cone)):
+            variant = HomologyVariant(names, mode)
+            groups = {n: homology(X, n, variant) for n in range(-1, top + 1)}
+            ranks = {n: {p: rank_mod_p(rows[n], p) for p in primes} for n in rows}
+            for n, p in product(range(top + 1), primes):
+                mod_p = dims[mode][n] - ranks[n][p] - ranks[n + 1][p]
+                expected = (
+                    groups[n].free_rank + torsion_count(groups[n], p)
+                    + torsion_count(groups[n - 1], p)
+                )
+                assert mod_p == expected, (names, mode, n, p, groups[n], groups[n - 1])
