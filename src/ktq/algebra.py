@@ -233,6 +233,12 @@ INVOLUTION = _compile("xyz", "T(x, T(x,y,z), z) = y")
 
 #: The axioms each enumeration filter checks, by filter name.
 FILTER_AXIOMS = {"all_quasigroups": (), "ktq": (A3,), "iktq": (A3, INVOLUTION)}
+#: The largest order enumerate_ktqs admits, by filter name.  One `ktq
+#: enumerate` run each (2-core VM, Python 3.11), without and with dedup:
+#: all_quasigroups order 4 2.0 s and 0.4 s, ktq order 5 3.3-5.5 s both,
+#: iktq order 5 0.2 s, iktq order 6 28 s and 26-27 s (31-34 s under load).
+#: all_quasigroups order 5 with dedup and ktq order 6 ran for minutes.
+MAX_ORDER = {"all_quasigroups": 4, "ktq": 5, "iktq": 6}
 
 
 def _resume_axioms(v, n, entries, watch, moved):
@@ -486,13 +492,7 @@ def canonical_form(t):
     return best
 
 
-#: The most entries, n! * n**3, that _relabelings(n) may build for
-#: enumerate_ktqs: order 6 (155,520) is admitted and order 7 (1,728,720)
-#: refused, at the scale of diagram.MAX_LEAVES.
-MAX_RELABELING_ENTRIES = 10 ** 6
-
-
-def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
+def enumerate_ktqs(n, filt="ktq", dedup=False):
     """Exhaustively enumerate the order-n quasigroup tables that pass a
     filter, in lexicographic order of their value tuples.
 
@@ -501,30 +501,18 @@ def enumerate_ktqs(n, filt="ktq", dedup=False, max_order=4):
     relabeling orbit, and canonical_form confirms each; with dedup=True
     those are returned.  Each filter is the Latin property plus equations
     in T, hence closed under relabeling, so without dedup the orbits of
-    the least tables are returned, sorted.  Orders above max_order are
-    rejected; pass a larger max_order explicitly to override, up to the
-    orders whose relabelings fit MAX_RELABELING_ENTRIES.  On a 2-core Xeon
-    VM with Python 3.11, order 5 takes about 3 s with the 'ktq' filter and
-    under a second with 'iktq', with or without dedup.
+    the least tables are returned, sorted.  An order above MAX_ORDER[filt]
+    (4 for all_quasigroups, 5 for ktq, 6 for iktq, each admitted order
+    measured under 30 s) is refused with a MathError before anything is
+    built.
     """
     if filt not in FILTER_AXIOMS:
         raise ValueError("unknown filter %r" % (filt,))
     if n < 1:
         raise FormatError("order must be a positive integer")
-    if n > max_order:
-        raise MathError(
-            "order %d exceeds the enumeration cap %d; raise max_order to override"
-            % (n, max_order)
-        )
-    entries, k = n ** 3, 1
-    while entries <= MAX_RELABELING_ENTRIES and k < n:
-        k += 1
-        entries *= k
-    if entries > MAX_RELABELING_ENTRIES:
-        raise MathError(
-            "order %d needs %d! * %d^3 relabeling entries, more than %d"
-            % (n, n, n, MAX_RELABELING_ENTRIES)
-        )
+    if n > MAX_ORDER[filt]:
+        raise MathError("order %d exceeds %d, the largest order the %s filter enumerates"
+                        % (n, MAX_ORDER[filt], filt))
     tables = [v for v in _checked_latin_tables(n, FILTER_AXIOMS[filt])
               if canonical_form(OpTable(n, v)) == v]
     if not dedup:

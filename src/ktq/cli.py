@@ -60,7 +60,6 @@ def build_parser():
     s.add_argument("--order", type=int, required=True)
     s.add_argument("--filter", choices=tuple(FILTER_AXIOMS), default="ktq", dest="filt")
     s.add_argument("--dedup", action="store_true")
-    s.add_argument("--max-order", type=int, default=4)
 
     s = sub.add_parser("homology", help="a homology group of an algebra")
     s.add_argument("algebra")
@@ -121,9 +120,7 @@ def _cmd_verify(args, out):
 
 
 def _cmd_enumerate(args, out):
-    tables = enumerate_ktqs(
-        args.order, filt=args.filt, dedup=args.dedup, max_order=args.max_order
-    )
+    tables = enumerate_ktqs(args.order, filt=args.filt, dedup=args.dedup)
     for t in tables:
         out.write(serialize_algebra(t))
         out.write("\n")

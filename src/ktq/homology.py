@@ -142,11 +142,11 @@ def relator_columns(X, n, relators):
 #: The most work homology(X, n) and the degree-1 relation lattice may take
 #: on: the |X|**(n+2) + |X|**(n+3) generators of C_n and C_{n+1} times
 #: (n+2)**2, a floor on the faces of one tuple.  z5 H_2 needs 60,000, z3 H_4
-#: 104,976; z5 H_3 (468,750, over 30 s), order 1 above degree 385 and
-#: degree 1 from order 14 on are refused.  The slowest admitted request
-#: measured (2-core VM, Python 3.11) is `cocycles` over x - y + z mod 13
-#: (276,822): 5.8 s and 199 MB in process; an order-4 H_3 (128,000) takes
-#: up to 4 s.
+#: 104,976; z5 H_3 (468,750), order 1 above degree 385 and degree 1 from
+#: order 14 on are refused; z5 H_3 would take about 1.2 s in process.  The
+#: slowest admitted request measured (2-core VM, Python 3.11) is `cocycles`
+#: over x - y + z mod 13 (276,822): 4.0 s and 199 MB; an order-4 H_3
+#: (128,000) takes up to 0.7 s in process.
 MAX_WORK = 300000
 
 

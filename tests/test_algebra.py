@@ -149,11 +149,13 @@ def test_enumerate_order3_counts():
 
 
 def test_enumerate_refuses_large_orders():
-    with pytest.raises(MathError):
-        enumerate_ktqs(5)
-    # the cap is adjustable; both order-2 Latin tables are KTQs
-    assert len(enumerate_ktqs(2, filt="all_quasigroups", max_order=2)) == 2
-    assert len(enumerate_ktqs(2, filt="ktq", max_order=2)) == 2
+    # one past each filter's largest order, and an absurd order
+    for filt, n in (("all_quasigroups", 5), ("ktq", 6), ("iktq", 7), ("ktq", 10 ** 20)):
+        with pytest.raises(MathError, match="the largest order the %s filter" % filt):
+            enumerate_ktqs(n, filt=filt)
+    # both order-2 Latin tables are KTQs
+    assert len(enumerate_ktqs(2, filt="all_quasigroups")) == 2
+    assert len(enumerate_ktqs(2, filt="ktq")) == 2
 
 
 def test_canonical_form_is_relabeling_invariant():

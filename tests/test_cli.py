@@ -272,14 +272,23 @@ def test_long_tuples_are_refused_before_their_faces_are_built(capsys):
     assert "generators times 1002^2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("order", ["8", "99999999999999999999"])
-def test_an_oversized_enumeration_is_refused_before_it_allocates(order, capsys):
-    # n! * n^3 relabeling entries: order 8 needs about 2 * 10^7
+@pytest.mark.parametrize("filt, order", [
+    pytest.param("ktq", "8", id="8"),
+    pytest.param("ktq", "99999999999999999999", id="99999999999999999999"),
+    ("all_quasigroups", "5"), ("ktq", "6"), ("iktq", "7"),
+])
+def test_an_oversized_enumeration_is_refused_before_it_allocates(filt, order, capsys):
+    # one past each filter's largest order, and an absurd order, cost one comparison
     start = time.perf_counter()
-    code, out = run("enumerate", "--order", order, "--max-order", order)
+    code, out = run("enumerate", "--order", order, "--filter", filt)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert "relabeling entries, more than 1000000" in capsys.readouterr().err
+    assert "the largest order the %s filter enumerates" % filt in capsys.readouterr().err
+
+
+def test_enumerate_has_no_max_order_option(capsys):
+    assert run("enumerate", "--order", "4", "--max-order", "4") == (1, "")
+    assert "unrecognized arguments: --max-order 4" in capsys.readouterr().err
 
 
 def test_classify_refuses_an_order_past_its_a3_bound(tmp_path, capsys):

@@ -104,9 +104,9 @@ def invocations(draw):
         argv += option("--mode", st.sampled_from(("sub", "quot")))
         argv += option("--diff", st.sampled_from(("L", "R", "full")))
     if command == "enumerate":
-        argv += ["--order", value(st.sampled_from((-1, 0, 1, 2, 3, 5)))]
+        # order 7 is refused for every filter; no run starts an order-5 search
+        argv += ["--order", value(st.sampled_from((-1, 0, 1, 2, 3, 7)))]
         argv += option("--filter", st.sampled_from(("ktq", "iktq", "all_quasigroups")))
-        argv += option("--max-order", st.integers(-1, 3))
         if draw(st.booleans()):
             argv.append("--dedup")
     if command == "color" and draw(st.booleans()):

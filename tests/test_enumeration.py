@@ -83,7 +83,7 @@ def test_order4_latin_dedup_digest():
 
 def test_order5_iktq_dedup_output_digest():
     # the 5 IKTQs of order 5 up to relabeling, frozen before lex-leader pruning
-    code, out = run_cli("enumerate", "--order", "5", "--max-order", "5", "--filter", "iktq", "--dedup")
+    code, out = run_cli("enumerate", "--order", "5", "--filter", "iktq", "--dedup")
     assert code == 0 and out.endswith("# count 5\n")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "031798c133949842a29d8f2c77d7da40689876a80e2f4ea7519af43c1d525c7f"
@@ -92,7 +92,7 @@ def test_order5_iktq_dedup_output_digest():
 
 def test_order5_ktq_dedup_output_digest():
     # the 23 KTQs of order 5 up to relabeling (480 tables without dedup)
-    code, out = run_cli("enumerate", "--order", "5", "--max-order", "5", "--filter", "ktq", "--dedup")
+    code, out = run_cli("enumerate", "--order", "5", "--filter", "ktq", "--dedup")
     assert code == 0 and out.endswith("# count 23\n")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "770c79b3d714f2ef918cd1c80370f5c022ab0fbf9262d5633fdf2965e8f575a7"
@@ -106,7 +106,7 @@ def test_order5_iktq_dedup_holds_exactly_the_affine_iktqs_over_z5():
     iktq = [u for u in units if classify(tables[u]).is_iktq]
     assert iktq == [(a, 4, c) for a, c in product(range(1, 5), repeat=2) if a * c % 5 == 1]
     forms = {u: canonical_form(tables[u]) for u in units}
-    found = {t.values for t in enumerate_ktqs(5, "iktq", True, max_order=5)}
+    found = {t.values for t in enumerate_ktqs(5, "iktq", True)}
     assert {forms[u] for u in iktq} == found & set(forms.values())
 
 
@@ -140,7 +140,7 @@ def test_order4_dedup_output_digest(filt, digest):
     (5, "ktq", "8a9763fed76541b4e16ebba730cabbffbc3357551144536e3ac6ca71043e8a8d"),
 ])
 def test_enumerate_output_digest_without_dedup(n, filt, digest):
-    code, out = run_cli("enumerate", "--order", str(n), "--max-order", "5", "--filter", filt)
+    code, out = run_cli("enumerate", "--order", str(n), "--filter", filt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -314,12 +314,17 @@ SPLIT = (HomologyVariant(), HomologyVariant("D", "subcomplex"), HomologyVariant(
 SPLIT_REFUSED = {("z3sum", 1), ("z3sum", 2), ("z3sum", 3)}
 
 
-@pytest.mark.parametrize("name", ALGEBRAS)
+# the 37 KTQs of order 4 up to relabeling; their H_3 (111 groups, 23 s in
+# process) is left out
+ORDER4_KTQS = {"ktq4_%02d" % i: t for i, t in enumerate(enumerate_ktqs(4, "ktq", dedup=True))}
+
+
+@pytest.mark.parametrize("name", ALGEBRAS + sorted(ORDER4_KTQS))
 def test_the_degenerate_part_splits_off(name):
     # plain = D-subcomplex + D-quotient, as rack homology splits into quandle
     # and degenerate homology (Litherland and Nelson, 2003); the subcomplex
     # comes through _RelatorLattices.sub and the quotient through the cone
-    X = load_algebra(name + ".ktq")
+    X = classify(ORDER4_KTQS[name]) if name in ORDER4_KTQS else load_algebra(name + ".ktq")
     for n in range(4 if X.order <= 3 else 3):
         if (name, n) in SPLIT_REFUSED:
             for v in SPLIT:

@@ -186,6 +186,27 @@ def test_one_function_bounds_homology_work():
     ]
 
 
+def test_one_function_bounds_enumeration():
+    # the largest order of each filter is the one bound on enumeration,
+    # read by enumerate_ktqs alone, with no order knob or relabeling bound
+    # beside it
+    def reads_bound(node):
+        return (
+            isinstance(node, ast.Name) and node.id == "MAX_ORDER" and isinstance(node.ctx, ast.Load)
+        )
+
+    def old_bound(node):
+        names = {"max_order", "MAX_RELABELING_ENTRIES"}
+        return (
+            isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, (ast.arg, ast.keyword)) and node.arg in names
+            or isinstance(node, ast.Attribute) and node.attr in names
+        )
+
+    assert set(_functions_where(reads_bound)) == {"algebra.enumerate_ktqs"}
+    assert _functions_where(old_bound) == []
+
+
 def test_one_sparse_product_in_homology():
     # d_n d_{n+1}, the differential of R and the cycle test all go through
     # homology._product, one intlinalg._axpy per entry of the vector; no
