@@ -37,10 +37,7 @@ class Chain:
     def __add__(self, other):
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        acc = dict(self.terms)
-        for t, c in other.terms.items():
-            acc[t] = acc.get(t, 0) + c
-        return Chain(self.degree, acc)
+        return Chain(self.degree, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return Chain(self.degree, {t: -c for t, c in self.terms.items()})
@@ -144,23 +141,21 @@ def boundary_tuple(X, tup, kind="full"):
     n = len(tup) - 2
     if n < 0:
         return Chain(n - 1)
-    acc = {}
-    for side, sign in SIDES[kind]:
-        for i in range(n + 1):
-            face = _face(X, side, i, tup)
-            acc[face] = acc.get(face, 0) + sign * (-1) ** i
-    return Chain(n - 1, acc)
+    return Chain(n - 1, [
+        (_face(X, side, i, tup), sign * (-1) ** i)
+        for side, sign in SIDES[kind] for i in range(n + 1)
+    ])
 
 
 def boundary(X, chain, kind="full"):
     """Linear extension of boundary_tuple over a Chain (or a bare tuple)."""
     if isinstance(chain, tuple):
         return boundary_tuple(X, chain, kind)
-    acc = {}
-    for tup, c in chain.terms.items():
-        for t2, c2 in boundary_tuple(X, tup, kind).terms.items():
-            acc[t2] = acc.get(t2, 0) + c * c2
-    return Chain(chain.degree - 1, acc)
+    return Chain(chain.degree - 1, [
+        (t2, c * c2)
+        for tup, c in chain.terms.items()
+        for t2, c2 in boundary_tuple(X, tup, kind).terms.items()
+    ])
 
 
 def reverse_tuple(tup):
@@ -224,10 +219,7 @@ def i_relator(X, tup, j):
     """
     if not getattr(X, "is_iktq", False):
         raise MathError("relators of this form require an involutory KTQ (T = M)")
-    other = tuple_sub(X, tup, j)
-    acc = {tup: 1}
-    acc[other] = acc.get(other, 0) + 1
-    return Chain(len(tup) - 2, acc)
+    return Chain(len(tup) - 2, [(tup, 1), (tuple_sub(X, tup, j), 1)])
 
 
 def relator_generators(X, n, variant):

@@ -24,7 +24,7 @@ from .variants import DIFF_CHOICES, NAMED_VARIANTS, RELATOR_CHOICES, HomologyVar
 # by name and replaces them with its wrappers.
 _LAZY = {
     "homology": "homology parse_cocycle serialize_cocycle two_cocycles",
-    "diagram": "colorings parse_correspondence parse_diagram",
+    "diagram": "check_comparable colorings parse_correspondence parse_diagram",
     "invariants": "invariant_report render_report state_sum",
 }
 _SOURCE = {name: module for module, names in _LAZY.items() for name in names.split()}
@@ -178,9 +178,8 @@ def _cmd_compare(args, out):
     correspondence = None
     if args.correspondence:
         correspondence = _cli.parse_correspondence(_read(args.correspondence))
-    cocycles = ()
-    if args.mod is not None:
-        cocycles = _cli.two_cocycles(X, args.mod, variant)
+    _cli.check_comparable(d1, d2, X)  # before any cocycle is computed
+    cocycles = () if args.mod is None else _cli.two_cocycles(X, args.mod, variant)
     rows = _cli.invariant_report(
         d1, d2, X, variant=variant, correspondence=correspondence, cocycles=cocycles
     )

@@ -97,6 +97,15 @@ def _check_algebra(d, X):
         raise MathError("flat diagrams require an involutory KTQ")
 
 
+def check_comparable(d1, d2, X):
+    """Refuse a flat diagram paired with a classical one, and a diagram
+    that X cannot color (see colorings)."""
+    if (d1.is_flat and d2.is_classical) or (d2.is_flat and d1.is_classical):
+        raise MathError("cannot compare a flat diagram with a classical one")
+    _check_algebra(d1, X)
+    _check_algebra(d2, X)
+
+
 def is_valid_coloring(d, X, col):
     """True iff every crossing constraint (see associated_chain) holds."""
     _check_algebra(d, X)
@@ -235,7 +244,7 @@ def associated_chain(d, X, col):
     The chain of a diagram that closes up is a cycle; the class checks and
     state sums of ktq.invariants test that."""
     _check_algebra(d, X)
-    order, t, acc = X.order, X.t.values, {}
+    order, t, terms = X.order, X.t.values, []
     for c in d.crossings:
         a, b, cc, dd = c.corners
         if c.kind == "M":
@@ -245,8 +254,8 @@ def associated_chain(d, X, col):
         tri = (col[a], col[b], col[cc])
         if t[(tri[0] * order + tri[1]) * order + tri[2]] != col[dd]:
             raise MathError("the assignment is not a valid coloring")
-        acc[tri] = acc.get(tri, 0) + (-1 if c.kind == "N" else 1)
-    return Chain(1, acc)
+        terms.append((tri, -1 if c.kind == "N" else 1))
+    return Chain(1, terms)
 
 
 def parse_correspondence(text):

@@ -144,9 +144,10 @@ def relator_columns(X, n, relators):
 #: (n+2)**2, a floor on the faces of one tuple.  z5 H_2 needs 60,000, z3 H_4
 #: 104,976; z5 H_3 (468,750), order 1 above degree 385 and degree 1 from
 #: order 14 on are refused; z5 H_3 would take about 1.2 s in process.  The
-#: slowest admitted request measured (2-core VM, Python 3.11) is `cocycles`
-#: over x - y + z mod 13 (276,822): 4.0 s and 199 MB; an order-4 H_3
-#: (128,000) takes up to 0.7 s in process.
+#: slowest admitted request measured in process (2-core VM, Python 3.11) is
+#: `cocycles` over x + y - z mod 13 (276,822): 16-17 s and 434 MB, 14.7 s
+#: of it the unit elimination of the transposed degree-1 lattice; an
+#: order-4 H_3 (128,000) takes up to 0.7 s.
 MAX_WORK = 300000
 
 
@@ -303,9 +304,12 @@ class Cochain:
 def two_cocycles(X, modulus, v):
     """Generators of the mod-m cocycles on triples for the given variant.
 
-    A cocycle vanishes on im d_2 + R_1 (_degree1_relations), and a variant
-    is refused where homology(X, 1, v) refuses it.
+    A cocycle vanishes on im d_2 + R_1 (_degree1_relations).  A modulus
+    below 2 is refused before anything is built, and a variant where
+    homology(X, 1, v) refuses it.
     """
+    if modulus < 2:
+        raise MathError("modulus must be >= 2")
     if v.mode != "quotient" or v.diff_kind != "full":
         raise MathError("cocycles are defined for the quotient/full variants")
     triples = chain_basis(X.order, 1)

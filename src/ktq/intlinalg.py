@@ -6,11 +6,12 @@ Sparse matrices, lists of columns each a dict {row: nonzero coefficient},
 are the working format: one routine, _hermite, computes every Hermite form
 on them, and one, _eliminate_units, eliminates their unit pivots for
 elementary_divisors and LatticeSolver, whose one elimination answers both
-membership and the mod-m kernel.  Dense matrices, plain lists of row
-lists of Python ints, appear only at the adapters: column_hnf,
-lattice_basis, kernel_int, LatticeSolver(M, ncols), kernel_mod, and the
-Smith forms.  A dense matrix may have zero rows; pass ncols explicitly
-whenever the column count cannot be read off the data.
+membership and the mod-m kernel.  _with_transform carries a transform as
+rows below the columns, as _snf carries V.  Dense matrices, plain lists of
+row lists of Python ints, appear only at the adapters: column_hnf,
+lattice_basis, kernel_int, LatticeSolver(M, ncols), kernel_mod, cokernel,
+dense_matrix, and the Smith forms.  A dense matrix may have zero rows; pass
+ncols explicitly whenever the column count cannot be read off the data.
 """
 
 from collections import namedtuple
@@ -157,7 +158,7 @@ def _axpy(v, q, h):
             del v[k]
 
 
-def _hermite(columns, transform=False):
+def _hermite(columns):
     """Column Hermite form of the lattice spanned by sparse columns
     {row: coeff}.
 
@@ -166,58 +167,51 @@ def _hermite(columns, transform=False):
     columns zero there, and that one goes on.  Then every pivot is made
     positive, and in each pivot row, in increasing order, the earlier
     columns that touch it (a row -> columns index) are reduced to
-    [0, pivot).  Returns (basis, W): the Hermite basis as sparse columns
-    in increasing order of their pivot rows (each column's least row), and
-    W None or, with transform, one transform {input column: coeff} per
-    basis column followed by one per kernel vector; together they form a
-    unimodular matrix.
-    """
-    at = {}  # pivot row -> [column, its transform]
-    kernel = []
-    for j, col in enumerate(columns):
-        v, t = dict(col), ({j: 1} if transform else None)
+    [0, pivot).  Returns the Hermite basis as sparse columns in increasing
+    order of their pivot rows (each column's least row)."""
+    at = {}  # pivot row -> column
+    for col in columns:
+        v = dict(col)
         while v:
             i = min(v)
             if i not in at:
-                at[i] = [v, t]
+                at[i] = v
                 break
-            h, s = at[i]
-            while True:
+            h = at[i]
+            while i in v:
                 q = v[i] // h[i]
                 if q:
                     _axpy(v, -q, h)
-                    if transform:
-                        _axpy(t, -q, s)
-                if i not in v:
-                    break
-                v, h, t, s = h, v, s, t
-            at[i] = [h, s]
-        else:
-            if transform:
-                kernel.append(t)
+                if i in v:
+                    v, h = h, v
+            at[i] = h
     rows = sorted(at)
     touching = {}  # row -> pivot rows of the columns with an entry there
     for i in rows:
-        h, s = at[i]
+        h = at[i]
         if h[i] < 0:
-            for part in (h, s) if transform else (h,):
-                for k in part:
-                    part[k] = -part[k]
+            at[i] = h = {k: -a for k, a in h.items()}
         for k in h:
             touching.setdefault(k, set()).add(i)
     for i in rows:
-        h, s = at[i]
+        h = at[i]
         for j in list(touching[i]):
-            g, r = at[j]
+            g = at[j]
             q = g.get(i, 0) // h[i] if j < i else 0
             if q:
                 _axpy(g, -q, h)
-                if transform:
-                    _axpy(r, -q, s)
                 for k in h:
                     touching[k].add(j)
-    basis = [at[i][0] for i in rows]
-    return basis, ([at[i][1] for i in rows] + kernel if transform else None)
+    return [at[i] for i in rows]
+
+
+def _with_transform(columns, nrows):
+    """(basis, W): the Hermite basis of sparse columns with nrows rows, and
+    the unimodular transform W, one {input column: coeff} per basis column
+    and then per kernel vector, read off the rows nrows + j that carry e_j."""
+    full = _hermite([{**col, nrows + j: 1} for j, col in enumerate(columns)])
+    basis = [{i: a for i, a in col.items() if i < nrows} for col in full if min(col) < nrows]
+    return basis, [{i - nrows: a for i, a in col.items() if i >= nrows} for col in full]
 
 
 def _columns(M, ncols):
@@ -251,7 +245,8 @@ def column_hnf(M, ncols=None, transform=False):
     columns reduced to [0, pivot) in each pivot row.  Columns after the last
     pivot are zero."""
     m, n = _shape(M, ncols)
-    basis, W = _hermite(_columns(M, n), transform)
+    columns = _columns(M, n)
+    basis, W = _with_transform(columns, m) if transform else (_hermite(columns), None)
     H = dense_matrix(basis + [{}] * (n - len(basis)), m)
     pivots = [(min(col), c) for c, col in enumerate(basis)]
     return H, (dense_matrix(W, n) if transform else None), pivots
@@ -295,7 +290,7 @@ class LatticeSolver:
         """The Hermite basis of the lattice as sparse columns, one per
         pivot, in increasing order of their pivot rows."""
         if self._basis is None:
-            self._basis, _ = _hermite(self._columns)
+            self._basis = _hermite(self._columns)
             self._pivot = {min(col): k for k, col in enumerate(self._basis)}
         return self._basis
 
@@ -380,7 +375,7 @@ class LatticeSolver:
         if y is None:
             return None
         if self._W is None:
-            _, self._W = _hermite(self._columns, transform=True)
+            _, self._W = _with_transform(self._columns, self.nrows)
         c = [0] * self.ncols
         for k, q in y.items():
             for j, a in self._W[k].items():
@@ -395,8 +390,8 @@ class LatticeSolver:
 
 def kernel_int(M, ncols=None):
     """A basis of the integer kernel {x : M*x = 0} (list of vectors)."""
-    _, n = _shape(M, ncols)
-    basis, W = _hermite(_columns(M, n), transform=True)
+    m, n = _shape(M, ncols)
+    basis, W = _with_transform(_columns(M, n), m)
     return [[t.get(j, 0) for j in range(n)] for t in W[len(basis):]]
 
 

@@ -8,7 +8,7 @@ chain at most once, for the class checks and every state sum.
 
 from collections import namedtuple
 
-from .diagram import associated_chain, colorings
+from .diagram import associated_chain, check_comparable, colorings
 
 # The report's hash join of two coloring lists.  It is bound here as
 # matched_colorings, the name under which perfbench/tracing.py times the
@@ -96,8 +96,7 @@ def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
     Returns a list of (key, value) rows ending with a 'verdict' row, either
     'consistent with invariance' or 'distinguished'.
     """
-    if (d1.is_flat and d2.is_classical) or (d2.is_flat and d1.is_classical):
-        raise MathError("cannot compare a flat diagram with a classical one")
+    check_comparable(d1, d2, X)
     if variant is None:
         variant = HomologyVariant("D", "quotient", "full")
     rows = []

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import ktq.cli
+import ktq.homology
 from ktq.algebra import OpTable, affine_table, serialize_algebra
 from ktq.cli import cli_main
 
@@ -342,6 +343,48 @@ def test_the_degree1_relation_lattice_is_bounded_like_homology(command, tmp_path
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert "needs 14^3 + 14^4 generators" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table, command, message", [
+    # x - y + z mod 13: a flat diagram against a classical one
+    ((1, 12, 1), [fixture_path("fr3_before.dg"), fixture_path("r3_before.dg"), "--mod", "2"],
+     "cannot compare a flat diagram with a classical one"),
+    # x + y - z mod 13 is a KTQ, not an IKTQ, so it colors no flat diagram
+    ((1, 1, 12), [fixture_path("fr3_before.dg"), fixture_path("fr3_after.dg"), "--mod", "2"],
+     "flat diagrams require an involutory KTQ"),
+], ids=["flat-with-classical", "flat-over-a-ktq"])
+def test_compare_checks_its_diagrams_before_it_computes_cocycles(table, command, message,
+                                                                  tmp_path, capsys):
+    # both degree-1 lattices over order 13 took seconds before the refusal
+    (tmp_path / "z13.ktq").write_text(serialize_algebra(affine_table(13, *table)))
+    start = time.perf_counter()
+    code, out = run("compare", str(tmp_path / "z13.ktq"), *command)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert message in capsys.readouterr().err
+
+
+def test_a_modulus_below_2_is_refused_before_the_degree1_lattice(tmp_path, monkeypatch, capsys):
+    homology = ktq.homology
+    homology.boundary_columns.cache_clear()
+    homology._degree1_relations.cache_clear()
+    calls = []
+    real = homology._degree1_relations
+
+    def recorded(X, v):
+        calls.append(X.order)
+        return real(X, v)
+
+    monkeypatch.setattr(homology, "_degree1_relations", recorded)
+    (tmp_path / "z13.ktq").write_text(serialize_algebra(affine_table(13, 1, 12, 1)))
+    for modulus in ("1", "0"):
+        argv = ["cocycles", str(tmp_path / "z13.ktq"), "--mod", modulus, "--relators", "D"]
+        assert run(*argv) == (3, "")
+        assert "modulus must be >= 2" in capsys.readouterr().err
+    assert calls == [] and homology.boundary_columns.cache_info().currsize == 0
+    # the recorder is the one two_cocycles calls
+    assert run("cocycles", fixture_path("z3linear.ktq"), "--mod", "3", "--relators", "D")[0] == 0
+    assert calls == [3]
 
 
 # a lone crossing, and one whose colorings a correspondence matches only in

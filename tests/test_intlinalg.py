@@ -231,6 +231,12 @@ def lattice_queries(draw):
     return M, cols, v
 
 
+def kernel_hnf(vectors, n):
+    """The oracle's Hermite form of the lattice of vectors of length n."""
+    M = [[v[i] for v in vectors] for i in range(n)]
+    return hnf_oracle.column_hnf(M, len(vectors), transform=False)[0]
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(query=lattice_queries())
 def test_sparse_hermite_form_matches_the_dense_oracle(query):
@@ -252,6 +258,14 @@ def test_sparse_hermite_form_matches_the_dense_oracle(query):
         assert (c is None) == (y0 is None)
         if c is not None:
             assert [sum(a * b for a, b in zip(row, c)) for row in M] == v
+    # the kernel: cols - rank vectors that M kills and that span the
+    # oracle's kernel, the last columns of its W, so it is saturated
+    K = kernel_int(M, cols)
+    assert len(K) == cols - len(pivots)
+    assert all(sum(a * x for a, x in zip(row, k)) == 0 for row in M for k in K)
+    _, W0, _ = hnf_oracle.column_hnf(M, cols, transform=True)
+    K0 = [[row[j] for row in W0] for j in range(len(pivots), cols)]
+    assert kernel_hnf(K, cols) == kernel_hnf(K0, cols)
 
 
 def test_elementary_divisors_match_dense_snf():

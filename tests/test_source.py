@@ -122,6 +122,36 @@ def test_the_smith_elimination_never_asks_for_its_transforms():
     assert "_identity" not in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
 
 
+def test_the_hermite_elimination_never_asks_for_its_transform():
+    # a transform is carried as extra rows of the columns (_with_transform),
+    # so _hermite has no branch for it
+    with open(os.path.join(SRC, "intlinalg.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    hermite = next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_hermite"
+    )
+    args = hermite.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["columns"]
+    assert (args.vararg, args.kwarg) == (None, None)
+
+
+def test_every_chain_sum_goes_through_the_chain_constructor():
+    # Chain(degree, pairs) merges repeated tuples; no other function of
+    # chains or diagram sums coefficients into a dict by hand,
+    # acc.get(k, 0) + c
+    def sums_by_hand(node):
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.Call) and getattr(node.left.func, "attr", None) == "get"
+            and len(node.left.args) == 2 and getattr(node.left.args[1], "value", None) == 0
+        )
+
+    found = _functions_where(sums_by_hand)
+    assert [owner for owner in found if owner.split(".")[0] in ("chains", "diagram")] == [
+        "chains.Chain.__init__"
+    ]
+
+
 def test_one_latin_search_path():
     # the Latin search always prunes to the least table of each relabeling
     # orbit; dedup only chooses whether enumerate_ktqs expands the orbits
