@@ -22,12 +22,16 @@ arithmetic, so a process builds each d_n once; callers never change it.
 
 HomologyClassChecker and two_cocycles read one degree-1 relation lattice,
 im d_2 + R_1 (d_2 of the cone; its rows are the triples, since R_0 = 0),
-under the preconditions of homology(X, 1, v).  A process builds and
-eliminates it once: one cached LatticeSolver answers the checker's
-membership questions and gives the mod-m cocycles from the same unit
-pivots, and never builds the lattice's Hermite basis.  A chain becomes a
-sparse column by the same base-|X| arithmetic (chain_column); _product is
-every product of columns with a vector: d_n d_{n+1}, d of R, is_cycle.
+under the preconditions of homology(X, 1, v).  It is pruned as homology
+prunes d_{n+1}: a unit column at each unit pivot of d_1 deletes that row.
+On cycles this keeps membership, as d_1 is injective on those rows, and
+the rows of d_1 at its pivots give back the cocycles it drops.  A process
+builds and eliminates it once: one cached LatticeSolver answers the
+checker's membership questions and gives the mod-m cocycles from the same
+unit pivots, and never builds the lattice's Hermite basis.  A chain
+becomes a sparse column by the same base-|X| arithmetic (chain_column);
+_product is every product of columns with a vector: d_n d_{n+1}, d of R,
+is_cycle.
 
 A differential that does not square to zero, or relators that do not span
 a subcomplex, raise MathError.  All arithmetic is exact.
@@ -145,9 +149,8 @@ def relator_columns(X, n, relators):
 #: 104,976; z5 H_3 (468,750), order 1 above degree 385 and degree 1 from
 #: order 14 on are refused; z5 H_3 would take about 1.2 s in process.  The
 #: slowest admitted request measured in process (2-core VM, Python 3.11) is
-#: `cocycles` over x + y - z mod 13 (276,822): 16-17 s and 434 MB, 14.7 s
-#: of it the unit elimination of the transposed degree-1 lattice; an
-#: order-4 H_3 (128,000) takes up to 0.7 s.
+#: `cocycles` over 4x + 12y + 10z mod 13 (276,822): 7-8 s and 200 MB, as
+#: long as its H_1; an order-4 H_3 (128,000) takes up to 0.7 s.
 MAX_WORK = 300000
 
 
@@ -251,16 +254,21 @@ def homology(X, n, v=HomologyVariant()):
 
 @lru_cache(maxsize=1)
 def _degree1_relations(X, v):
-    """im d_2 + R_1 of a quotient variant: the LatticeSolver of d_2 of the
-    cone of R -> C over the triples (R_0 = 0), cached so that a report's
-    class checks and cocycles share one unit elimination.  Refuses what
-    homology(X, 1, v) refuses: relator set, the work bound (from order 14
-    on), relators leaving R, d_1 d_2 != 0."""
+    """(solver, rows): the LatticeSolver of im d_2 + R_1 of a quotient
+    variant, d_2 of the cone of R -> C over the triples, with a unit column
+    at each unit pivot of d_1, and the rows of d_1 at its pivots, dense.
+    Cached so that a report's class checks and cocycles share one unit
+    elimination.  Refuses what homology(X, 1, v) refuses: relator set, the
+    work bound (from order 14 on), relators leaving R, d_1 d_2 != 0."""
     _check_request(X, 1, v)
     lattices = _RelatorLattices(X, v.relators, v.diff_kind)
     cols, _ = lattices.cone(2)
-    _check_square(lattices.cone(1)[0], cols, 1)
-    return LatticeSolver.from_columns(cols, X.order ** 3)
+    d1, pairs = lattices.cone(1)
+    _check_square(d1, cols, 1)
+    pivots = LatticeSolver.from_columns(d1, pairs)._eliminate()
+    units = [{j: 1} for j, _, _, _ in pivots]
+    rows = [[col.get(p, 0) for col in d1] for _, p, _, _ in pivots]
+    return LatticeSolver.from_columns(cols + units, X.order ** 3), rows
 
 
 class Cochain:
@@ -304,18 +312,21 @@ class Cochain:
 def two_cocycles(X, modulus, v):
     """Generators of the mod-m cocycles on triples for the given variant.
 
-    A cocycle vanishes on im d_2 + R_1 (_degree1_relations).  A modulus
-    below 2 is refused before anything is built, and a variant where
-    homology(X, 1, v) refuses it.
+    A cocycle vanishes on im d_2 + R_1 (_degree1_relations).  The kernel
+    of the pruned lattice holds those that also vanish at d_1's unit
+    pivots P; the rows of d_1 at its pivots, coboundaries unimodular on P,
+    add a direct complement.  A modulus below 2 is refused before anything
+    is built, and a variant where homology(X, 1, v) refuses it.
     """
     if modulus < 2:
         raise MathError("modulus must be >= 2")
     if v.mode != "quotient" or v.diff_kind != "full":
         raise MathError("cocycles are defined for the quotient/full variants")
+    solver, coboundaries = _degree1_relations(X, v)
     triples = chain_basis(X.order, 1)
     return [
         Cochain(modulus, {triples[i]: x for i, x in enumerate(vec) if x})
-        for vec in _degree1_relations(X, v).kernel_mod(modulus)
+        for vec in solver.kernel_mod(modulus) + coboundaries
     ]
 
 
@@ -337,7 +348,7 @@ class HomologyClassChecker:
         if v.mode != "quotient":
             raise MathError("homology classes are compared in quotient mode only")
         self.order = X.order
-        self.solver = _degree1_relations(X, v)
+        self.solver, _ = _degree1_relations(X, v)
         self.d1 = boundary_columns(X, 1, v.diff_kind)
 
     def _cycle_column(self, c, name):

@@ -4,9 +4,9 @@ elementary divisors of sparse matrices, lattice membership and kernels
 
 Sparse matrices, lists of columns each a dict {row: nonzero coefficient},
 are the working format: one routine, _hermite, computes every Hermite form
-on them, and one, _eliminate_units, eliminates their unit pivots for
-elementary_divisors and LatticeSolver, whose one elimination answers both
-membership and the mod-m kernel.  _with_transform carries a transform as
+on them, and one, _eliminate_units, eliminates the unit pivots of their
+columns for elementary_divisors and LatticeSolver, whose one elimination
+answers both membership and the mod-m kernel.  _with_transform carries a transform as
 rows below the columns, as _snf carries V.  Dense matrices, plain lists of
 row lists of Python ints, appear only at the adapters: column_hnf,
 lattice_basis, kernel_int, LatticeSolver(M, ncols), kernel_mod, cokernel,
@@ -219,15 +219,6 @@ def _columns(M, ncols):
     return [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(ncols)]
 
 
-def _transpose(columns, nrows):
-    """The nrows rows {index: coeff} of sparse columns (index, {row: coeff})."""
-    rows = [{} for _ in range(nrows)]
-    for j, col in columns:
-        for i, a in col.items():
-            rows[i][j] = a
-    return rows
-
-
 def dense_matrix(columns, nrows):
     """Sparse columns {row: coeff} as a dense list of rows."""
     M = [[0] * len(columns) for _ in range(nrows)]
@@ -261,8 +252,8 @@ def lattice_basis(M, ncols=None):
 class LatticeSolver:
     """Reusable exact solver for M*c = v against a fixed column lattice.
 
-    One unit elimination of the transpose of M serves membership (member,
-    contains) and the mod-m kernel of the transpose (kernel_mod).  The
+    One unit elimination of the columns of M serves membership (member,
+    contains) and the mod-m kernel of the transpose of M (kernel_mod).  The
     Hermite basis is built on the first access to basis, coordinates or
     solve, and the transform back to coefficients of the columns of M on
     the first solve() that finds a solution.  LatticeSolver(M, ncols) takes
@@ -295,38 +286,35 @@ class LatticeSolver:
         return self._basis
 
     def _eliminate(self):
-        """The unit pivots of the transpose, whose columns are the rows of M;
-        the residual lattice is the transpose of what they leave."""
+        """The unit pivots of the columns, and the residual lattice they leave."""
         if self._units is None:
-            rows = _transpose(enumerate(self._columns), self.nrows)
-            self._units, self._left = _eliminate_units(rows, self.ncols)
-            residual = _transpose(self._left.items(), self.ncols)
-            self._residual = LatticeSolver.from_columns(residual, self.nrows)
+            self._units, left = _eliminate_units(self._columns, self.nrows)
+            self._residual = LatticeSolver.from_columns(list(left.values()), self.nrows)
         return self._units
 
     def member(self, residue):
         """Whether a sparse vector {row: coeff} lies in the lattice."""
         res = {i: a for i, a in residue.items() if a}
-        for j, u, prow in self._eliminate():
-            # the pivot column, u e_j + prow, is the last one in row j
-            x = res.pop(j, 0)
+        for _, p, u, col in self._eliminate():
+            # replay the row operations that cleared the pivot's column
+            x = res.pop(p, 0)
             if x:
-                _axpy(res, -u * x, prow)
+                _axpy(res, -u * x, col)
         return self._residual.coordinates(res) is not None
 
     def kernel_mod(self, modulus):
         """Generators of {x : c.x = 0 mod modulus for each column c}, dense,
         reduced mod modulus, correct for composite moduli.  The Smith form
-        U*R*V = D of the residual block gives the generators
-        (m / gcd(d_j, m)) * V e_j of its kernel; each unit pivot, invertible
-        mod every m, then fills in its coordinate in reverse order.  For
-        prime m there are nrows - rank_m(M) of them."""
+        U*R*V = D of the residual's transpose over the free rows gives the
+        generators (m / gcd(d_j, m)) * V e_j of its kernel; each unit pivot,
+        invertible mod every m, then fills in the coordinate of its row in
+        reverse order.  For prime m there are nrows - rank_m(M) of them."""
         if modulus < 2:
             raise MathError("modulus must be >= 2")
         pivots, n = self._eliminate(), self.nrows
-        eliminated = {pivot[0] for pivot in pivots}
-        free = [j for j in range(n) if j not in eliminated]
-        R = _dense_block(self._left, free)
+        eliminated = {pivot[1] for pivot in pivots}
+        free = [i for i in range(n) if i not in eliminated]
+        R = [[col.get(i, 0) for i in free] for col in self._residual._columns]
         D, V = _snf(R, len(free), True)
         gens = []
         for c in range(len(free)):
@@ -335,11 +323,11 @@ class LatticeSolver:
             if k == modulus:
                 continue  # only the zero residue class
             x = [0] * n
-            for r, j in enumerate(free):
-                x[j] = V[r][c] * k % modulus
-            for j, u, prow in reversed(pivots):
-                # u*x_j + sum prow[i]*x_i = 0 and 1/u == u for a unit u
-                x[j] = -u * sum(a * x[i] for i, a in prow.items()) % modulus
+            for r, i in enumerate(free):
+                x[i] = V[r][c] * k % modulus
+            for _, p, u, col in reversed(pivots):
+                # u*x_p + sum col[i]*x_i = 0 and 1/u == u for a unit u
+                x[p] = -u * sum(a * x[i] for i, a in col.items()) % modulus
             if any(x):
                 gens.append(x)
         return gens
@@ -469,18 +457,18 @@ def _eliminate_units(columns, nrows):
                 heappush(heap, (len(ck), k))
             else:
                 del cols[k]
-        pivots.append((j, u, prow))
+        pivots.append((j, p, u, col))
     return pivots, cols
 
 
-def _dense_block(cols, order):
-    """The rows that the sparse columns touch, as a dense matrix over the
-    columns listed in order (a column missing from cols is zero)."""
-    live = sorted({i for j in order for i in cols.get(j, ())})
+def _dense_block(cols):
+    """The sparse columns left in cols, a dict, as a dense matrix over the
+    rows they touch."""
+    live = sorted({i for col in cols.values() for i in col})
     where = {i: r for r, i in enumerate(live)}
-    R = [[0] * len(order) for _ in live]
-    for c, j in enumerate(order):
-        for i, a in cols.get(j, {}).items():
+    R = [[0] * len(cols) for _ in live]
+    for c, col in enumerate(cols.values()):
+        for i, a in col.items():
             R[where[i]][c] = a
     return R
 
@@ -497,5 +485,5 @@ def elementary_divisors(columns, nrows):
     pivots, cols = _eliminate_units(columns, nrows)
     divisors = [1] * len(pivots)
     if cols:
-        divisors += [d for d in snf_diagonal(_dense_block(cols, list(cols)), len(cols)) if d]
-    return divisors, {j for j, _, _ in pivots}
+        divisors += [d for d in snf_diagonal(_dense_block(cols), len(cols)) if d]
+    return divisors, {pivot[0] for pivot in pivots}

@@ -42,11 +42,11 @@ def transcript_digest(runs):
 
 COCYCLES = {
     "order1": "27ffe7cef691f73f2e3c2fa2d46eea817d48a57ad64d9e4ddb6c8569dc6cab03",
-    "z2sum": "966007b359a63864ed489ff82da14454ba3712cd09c984da48049175d3f9eeea",
-    "z2sum1": "fd8bece851a40312f6bfb63153a91c285450095444f04a88ad1c14e6659cd7cb",
+    "z2sum": "e7fac0c831e8de3ab9193c50873140572973e74626695696dc986bd9a7c110c5",
+    "z2sum1": "bf68337bf4eba12f6b7df3b89c682eb4398b6c49f1aa5d8a8572dc15804ece1e",
     "z3sum": "2bbf24c9705397fba2fef94af587e00ae5ebe3f3138dc89a76bcaaa4121c6d90",
-    "z3linear": "e389b769cce314d7eaca8e74dcb22436b7f588563a1301d51f65ffd021bbc58b",
-    "z5affine": "24a50634c117ec5084fe03c7fbed0c5114db96d771d26144f3d0d9f068b24d6e",
+    "z3linear": "4af3c712261d42f119227057b54811258af2ec7115080e5609515e0a47bca7a0",
+    "z5affine": "120851a4b8397c6c5d90291ca18f716b15988b55a62fe23b247a870b8ab98145",
 }
 
 
@@ -61,7 +61,7 @@ def test_cocycle_generators_are_frozen(name):
 
 
 COMPARE = {
-    ("z3linear", "N"): "1e3b7b25031d5c7c27636047de1ec53a829cd69a0c9d457099d712a124d4902d",
+    ("z3linear", "N"): "9da1f0dda7e54497203609b0181f76a33eafb456378f62c97736fae628c1edeb",
     ("z3linear", "NI"): "7a3ed5bf4cd4b368bfa0e654d85ddbd05bcec68358a7c62613d49808f88f7061",
     ("z3linear", "NID"): "eefa19fbc1a27080e947eab814c62573444488ffcdab57087a08ccef6c1a1b5f",
     ("z5affine", "N"): "0baf63cfbe791b4ee6414cfa8c29979e878f3adac780189b1dd5f01d34c5f21e",

@@ -1,9 +1,9 @@
 """The degree-1 relation lattice im d_2 + R_1 that HomologyClassChecker and
-two_cocycles read from the homology engine's cone, against the dense
-assembly the checker used before it (boundary_matrix with the
-relator_columns appended), its preconditions against homology(X, 1, v),
-and membership in it by unit elimination against the Hermite form and the
-dense oracle.
+two_cocycles read from the homology engine's cone, pruned at d_1's unit
+pivots, against the dense assembly the checker used before it
+(boundary_matrix with the relator_columns appended), its preconditions
+against homology(X, 1, v), and membership in it by unit elimination
+against the Hermite form and the dense oracle.
 """
 
 import importlib
@@ -20,6 +20,7 @@ from ktq.homology import (
     HomologyClassChecker,
     HomologyVariant,
     _degree1_relations,
+    boundary_columns,
     boundary_matrix,
     chain_basis,
     homology,
@@ -27,7 +28,7 @@ from ktq.homology import (
     two_cocycles,
 )
 from ktq.cli import cli_main
-from ktq.intlinalg import LatticeSolver, dense_matrix, lattice_basis
+from ktq.intlinalg import LatticeSolver, dense_matrix, elementary_divisors, lattice_basis
 
 import hnf_oracle
 from conftest import fixture_path, load_algebra
@@ -50,14 +51,59 @@ def quotient_variants(X):
             yield HomologyVariant(relators, "quotient", kind)
 
 
+def unit_pivots(X, kind):
+    """The columns of d_1's unit pivots, the triples the lattice is pruned
+    at, as elementary_divisors finds them."""
+    return sorted(elementary_divisors(boundary_columns(X, 1, kind), X.order ** 2)[1])
+
+
+def sampled_cycles(X, kind, M, rng):
+    """Dense cycles over the triples: small combinations of the columns of
+    M, which d_1 kills, and of a kernel basis of d_1 read off the dense
+    Hermite oracle's transform, their sums, and the doubles of the
+    latter, which meet the torsion of H_1."""
+    d1 = boundary_matrix(X, 1, kind)
+    _, W, pivots = hnf_oracle.column_hnf(d1, len(d1[0]))
+    kernel = [[row[c] for row in W] for c in range(len(pivots), len(W))]
+    cols = [[row[c] for row in M] for c in range(len(M[0]))]
+
+    def combination(vectors, k):
+        out = [0] * len(M)
+        for vec in rng.sample(vectors, min(len(vectors), k)):
+            q = rng.choice((-2, -1, 1, 2))
+            out = [a + q * b for a, b in zip(out, vec)]
+        return out
+
+    out = []
+    for _ in range(6):
+        member, cycle = combination(cols, rng.randint(1, 6)), combination(kernel, rng.randint(1, 3))
+        out += [member, cycle, [a + b for a, b in zip(member, cycle)], [2 * a for a in cycle]]
+    return out
+
+
 @pytest.mark.parametrize("name", KTQS)
 def test_relations_span_the_dense_assembly(name):
-    # the Hermite basis is canonical, so equal bases mean equal lattices
+    # the Hermite basis is canonical, so equal bases mean equal lattices:
+    # the relations are the dense assembly plus a unit column at each unit
+    # pivot of d_1, and on cycles they decide membership as the unpruned
+    # assembly does
     X = load_algebra(name + ".ktq")
+    nrows = X.order ** 3
+    rng = random.Random(name)
+    seen = set()
     for v in quotient_variants(X):
-        cols = _degree1_relations(X, v)._columns
-        got = lattice_basis(dense_matrix(cols, X.order ** 3), len(cols))
-        assert got == lattice_basis(dense_assembly(X, v)), v
+        solver, _ = _degree1_relations(X, v)
+        M = dense_assembly(X, v)
+        pivots = unit_pivots(X, v.diff_kind)
+        pruned = [row + [int(i == j) for j in pivots] for i, row in enumerate(M)]
+        cols = solver._columns
+        assert lattice_basis(dense_matrix(cols, nrows), len(cols)) == lattice_basis(pruned), v
+        oracle = hnf_oracle.DenseLatticeSolver(M, len(M[0]))
+        for z in sampled_cycles(X, v.diff_kind, M, rng):
+            got = solver.member({i: a for i, a in enumerate(z) if a})
+            assert got == (oracle.coordinates(z) is not None), (v, z)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def refused(f):
@@ -113,8 +159,9 @@ def test_compare_builds_the_relation_lattice_once(monkeypatch):
 
 
 def test_compare_eliminates_the_relation_lattice_once(monkeypatch):
-    # the class checks and the mod-m cocycles read one unit elimination, on
-    # the sparse columns: no dense matrix is converted back to columns
+    # the class checks and the mod-m cocycles read one unit elimination of
+    # d_1, for its unit pivots, and one of the pruned lattice, on the
+    # sparse columns: no dense matrix is converted back to columns
     intlinalg = importlib.import_module("ktq.intlinalg")
     eliminate = intlinalg._eliminate_units
     columns_eliminated = []
@@ -140,8 +187,10 @@ def test_compare_eliminates_the_relation_lattice_once(monkeypatch):
             io.StringIO(),
         )
         assert code == 0
-        # one elimination, of the transpose: a column per triple
-        assert columns_eliminated == [order ** 3]
+        # d_1, a column per triple, then the lattice with its unit columns
+        got = list(columns_eliminated)
+        solver, _ = _degree1_relations(load_algebra(alg), NAMED_VARIANTS[variant])
+        assert got == [order ** 3, len(solver._columns)]
     _degree1_relations.cache_clear()
 
 
@@ -178,7 +227,7 @@ def test_membership_by_elimination_matches_the_hermite_form_and_the_oracle(name)
             v = HomologyVariant(relators, "quotient", kind)
             if refused(lambda: homology(X, 1, v)):
                 continue
-            cols = list(_degree1_relations(X, v)._columns)
+            cols = list(_degree1_relations(X, v)[0]._columns)
             solver = LatticeSolver.from_columns(cols, nrows)
             hermite = LatticeSolver.from_columns(cols, nrows)
             oracle = hnf_oracle.DenseLatticeSolver(dense_matrix(cols, nrows), len(cols))

@@ -110,6 +110,21 @@ def test_unit_elimination_has_two_callers():
     ]
 
 
+def test_every_unit_elimination_works_on_columns():
+    # LatticeSolver eliminates its own columns, as elementary_divisors does,
+    # so intlinalg has no transpose
+    with open(os.path.join(SRC, "intlinalg.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert "_transpose" not in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    solver = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LatticeSolver")
+    eliminate = next(n for n in solver.body if isinstance(n, ast.FunctionDef) and n.name == "_eliminate")
+    call = next(
+        n for n in ast.walk(eliminate)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_eliminate_units"
+    )
+    assert ast.unparse(call.args[0]) == "self._columns"
+
+
 def test_the_smith_elimination_never_asks_for_its_transforms():
     # U and V are rows and columns of the one matrix _snf eliminates, so
     # its elimination loop has no branch for them

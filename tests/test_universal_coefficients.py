@@ -20,6 +20,16 @@ relators written here, the Hermite basis of each R_n (tests/hnf_oracle.py),
 the differential of R in coordinates of those bases, and the mapping cone
 of R -> C, Cone_n = R_{n-1} + C_n with d(r, c) = (-d r, r + d c): free
 complexes whose homology is that of R and of C/R.
+
+On the cochain side, the mod-p cocycles on triples that two_cocycles
+returns for a quotient variant vanish on im d_2 + R_1, which lies in
+ker d_1, so they are Hom(C_1 / (im d_2 + R_1), F_p) and
+
+    dim Z^1(p) = rank_p(d_1) + b_1(p),  b_1(p) = rank H_1 + t_p(H_1) + t_p(H_0),
+
+with d_1 the plain degree-1 differential (R_0 = 0) and H_0, H_1 those of
+the quotient.  This ties the unit elimination behind the cocycles to the
+one behind homology().
 """
 
 from itertools import product
@@ -28,7 +38,7 @@ import pytest
 
 from ktq.algebra import affine_table, classify, enumerate_ktqs
 from ktq.chains import all_tuples, boundary_tuple
-from ktq.homology import HomologyVariant, homology
+from ktq.homology import HomologyVariant, homology, two_cocycles
 
 from conftest import load_algebra
 from hnf_oracle import column_hnf
@@ -112,6 +122,22 @@ def test_homology_obeys_universal_coefficients(name, X):
                 + torsion_count(groups[n - 1], p)
             )
             assert mod_p == expected, (label, n, p, groups[n], groups[n - 1])
+
+
+@pytest.mark.parametrize("name, X", ALGEBRAS, ids=[name for name, _ in ALGEBRAS])
+def test_cocycles_obey_universal_coefficients(name, X):
+    index = {tup: i for i, tup in enumerate(all_tuples(X.order, 0))}
+    d1 = [{} for _ in index]
+    for j, tup in enumerate(all_tuples(X.order, 1)):
+        for f, c in boundary_tuple(X, tup).terms.items():
+            d1[index[f]][j] = c
+    ranks = {p: rank_mod_p(d1, p) for p in PRIMES}
+    for names in ("none", "D") + (("I", "ID") if X.is_iktq else ()):
+        variant = HomologyVariant(names, "quotient")
+        h0, h1 = homology(X, 0, variant), homology(X, 1, variant)
+        for p in PRIMES:
+            b1 = h1.free_rank + torsion_count(h1, p) + torsion_count(h0, p)
+            assert len(two_cocycles(X, p, variant)) == ranks[p] + b1, (names, p, h0, h1)
 
 
 def relators(X, n, names):
