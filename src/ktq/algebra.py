@@ -502,9 +502,9 @@ def enumerate_ktqs(n, filt="ktq", dedup=False):
     those are returned.  Each filter is the Latin property plus equations
     in T, hence closed under relabeling, so without dedup the orbits of
     the least tables are returned, sorted.  An order above MAX_ORDER[filt]
-    (4 for all_quasigroups, 5 for ktq, 6 for iktq, each admitted order
-    measured under 30 s) is refused with a MathError before anything is
-    built.
+    (4 for all_quasigroups, 5 for ktq, 6 for iktq) is refused with a
+    MathError before anything is built.  The largest admitted orders took
+    up to 2 s, 5.5 s and 28 s (31-34 s under load), as MAX_ORDER records.
     """
     if filt not in FILTER_AXIOMS:
         raise ValueError("unknown filter %r" % (filt,))

@@ -2,7 +2,7 @@
 
 Chain groups have the lexicographic tuple basis.  Every variant is the
 homology of a free complex with sparse differentials d, read off their
-elementary divisors (``intlinalg.elementary_divisors``, unit pivots first):
+elementary divisors (LatticeSolver.divisors, unit pivots first):
 
     H_n = Z^(dim C_n - rk d_n - rk d_{n+1}) + torsion of d_{n+1}.
 
@@ -20,18 +20,16 @@ Every differential comes from boundary_columns(X, n, kind), a small cache
 of sparse columns built from chains.face_entries by base-|X| index
 arithmetic, so a process builds each d_n once; callers never change it.
 
-HomologyClassChecker and two_cocycles read one degree-1 relation lattice,
-im d_2 + R_1 (d_2 of the cone; its rows are the triples, since R_0 = 0),
-under the preconditions of homology(X, 1, v).  It is pruned as homology
-prunes d_{n+1}: a unit column at each unit pivot of d_1 deletes that row.
-On cycles this keeps membership, as d_1 is injective on those rows, and
-the rows of d_1 at its pivots give back the cocycles it drops.  A process
-builds and eliminates it once: one cached LatticeSolver answers the
-checker's membership questions and gives the mod-m cocycles from the same
-unit pivots, and never builds the lattice's Hermite basis.  A chain
-becomes a sparse column by the same base-|X| arithmetic (chain_column);
-_product is every product of columns with a vector: d_n d_{n+1}, d of R,
-is_cycle.
+One cached reduction, _reduction(X, n, v), eliminates d_n and d_{n+1}
+once: d_{n+1} gets a unit column at each unit pivot of d_n, which deletes
+that row.  homology reads H_n off the two.  In degree 1 the second is the
+relation lattice im d_2 + R_1 (d_2 of the cone; its rows are the
+triples, since R_0 = 0), pruned: HomologyClassChecker asks it for
+membership, and two_cocycles reads the mod-m cocycles off the same unit
+pivots, with the rows of d_1 at its pivots for the cocycles the pruning
+drops; neither builds the lattice's Hermite basis.  A chain becomes a
+sparse column by the same base-|X| arithmetic (chain_column); _product is
+every product of columns with a vector: d_n d_{n+1}, d of R, is_cycle.
 
 A differential that does not square to zero, or relators that do not span
 a subcomplex, raise MathError.  All arithmetic is exact.
@@ -40,7 +38,7 @@ a subcomplex, raise MathError.  All arithmetic is exact.
 from functools import lru_cache
 from .chains import SIDES, all_tuples, face_entries, relator_generators
 from .errors import FormatError, MathError, integers, read_records
-from .intlinalg import AbelianGroup, LatticeSolver, _axpy, dense_matrix, elementary_divisors
+from .intlinalg import AbelianGroup, LatticeSolver, _axpy, dense_matrix
 from .variants import HomologyVariant
 
 # Re-exported: the variant names live in ktq.variants, which the command
@@ -218,27 +216,33 @@ def _check_square(cols_n, cols_n1, n):
         raise MathError("the differential does not square to zero in degree %d" % n)
 
 
-def _free_homology(differential, n):
-    """H_n of a free complex from its sparse differentials d_n, d_{n+1}."""
+@lru_cache(maxsize=1)
+def _reduction(X, n, v):
+    """(d_n, d_{n+1}) of the variant as LatticeSolvers, the second with a
+    unit column {j: 1} at each unit pivot column j of d_n, in pivot order.
+
+    The reduction along the complex (Kaczynski, Mrozek and Slusarek 1998):
+    as d_n d_{n+1} = 0 and d_n's unit pivots form a unimodular block of
+    it, the rows of d_{n+1} at their columns are integer combinations of
+    its other rows, so the unit columns delete them and keep its divisors,
+    adding a 1 each.  Refused by _check_request and where d_n d_{n+1} != 0.
+    Cached, so that homology(X, 1, v), class checks and cocycles share it.
+    """
+    _check_request(X, n, v)
+    lattices = _RelatorLattices(X, v.relators, v.diff_kind)
+    sub = v.mode == "subcomplex" and v.relators != "none"
+    differential = lattices.sub if sub else lattices.cone
     cols_n, rows_n = differential(n)
-    if not cols_n:
-        return AbelianGroup(0)
-    cols_n1, dim_n = differential(n + 1)
+    cols_n1, dim_n = differential(n + 1) if cols_n else ([], 0)
     _check_square(cols_n, cols_n1, n)
-    divisors_n, pivots = elementary_divisors(cols_n, rows_n)
-    # reduction along the complex (Kaczynski, Mrozek and Slusarek 1998): the
-    # unit pivots of d_n form a unimodular block of it, so, as d_n d_{n+1} =
-    # 0, the rows of d_{n+1} at their columns are integer combinations of its
-    # other rows, and without them it keeps its divisors
-    cols_n1 = [{i: a for i, a in col.items() if i not in pivots} for col in cols_n1]
-    divisors, _ = elementary_divisors(cols_n1, dim_n)
-    return AbelianGroup(
-        dim_n - len(divisors_n) - len(divisors), tuple(d for d in divisors if d > 1)
-    )
+    d_n = LatticeSolver.from_columns(cols_n, rows_n)
+    units = [{j: 1} for j, _, _, _ in d_n._eliminate()]
+    return d_n, LatticeSolver.from_columns(cols_n1 + units, dim_n)
 
 
 def homology(X, n, v=HomologyVariant()):
-    """The degree-n homology group of the requested variant.
+    """The degree-n homology group of the requested variant, read off the
+    divisors of _reduction(X, n, v).
 
     Quotient mode computes the homology of C/R, subcomplex mode of R itself;
     with relators 'none' both give the plain homology.  A degree needing
@@ -246,29 +250,11 @@ def homology(X, n, v=HomologyVariant()):
     (_check_request), as are a degree below -1 and a relator set the
     algebra cannot carry.
     """
-    _check_request(X, n, v)
-    lattices = _RelatorLattices(X, v.relators, v.diff_kind)
-    sub = v.mode == "subcomplex" and v.relators != "none"
-    return _free_homology(lattices.sub if sub else lattices.cone, n)
-
-
-@lru_cache(maxsize=1)
-def _degree1_relations(X, v):
-    """(solver, rows): the LatticeSolver of im d_2 + R_1 of a quotient
-    variant, d_2 of the cone of R -> C over the triples, with a unit column
-    at each unit pivot of d_1, and the rows of d_1 at its pivots, dense.
-    Cached so that a report's class checks and cocycles share one unit
-    elimination.  Refuses what homology(X, 1, v) refuses: relator set, the
-    work bound (from order 14 on), relators leaving R, d_1 d_2 != 0."""
-    _check_request(X, 1, v)
-    lattices = _RelatorLattices(X, v.relators, v.diff_kind)
-    cols, _ = lattices.cone(2)
-    d1, pairs = lattices.cone(1)
-    _check_square(d1, cols, 1)
-    pivots = LatticeSolver.from_columns(d1, pairs)._eliminate()
-    units = [{j: 1} for j, _, _, _ in pivots]
-    rows = [[col.get(p, 0) for col in d1] for _, p, _, _ in pivots]
-    return LatticeSolver.from_columns(cols + units, X.order ** 3), rows
+    d_n, d_n1 = _reduction(X, n, v)
+    # each unit column adds a divisor 1 to those of d_{n+1}
+    units, divisors = len(d_n._eliminate()), d_n1.divisors
+    free = d_n1.nrows - len(d_n.divisors) - (len(divisors) - units)
+    return AbelianGroup(free, tuple(d for d in divisors if d > 1))
 
 
 class Cochain:
@@ -312,17 +298,18 @@ class Cochain:
 def two_cocycles(X, modulus, v):
     """Generators of the mod-m cocycles on triples for the given variant.
 
-    A cocycle vanishes on im d_2 + R_1 (_degree1_relations).  The kernel
-    of the pruned lattice holds those that also vanish at d_1's unit
-    pivots P; the rows of d_1 at its pivots, coboundaries unimodular on P,
-    add a direct complement.  A modulus below 2 is refused before anything
-    is built, and a variant where homology(X, 1, v) refuses it.
+    A cocycle vanishes on im d_2 + R_1.  The kernel of d_2 with its unit
+    columns (_reduction(X, 1, v)) holds those that also vanish at d_1's
+    unit pivots P; the rows of d_1 at its pivots, coboundaries unimodular
+    on P, add a direct complement.  A modulus below 2 is refused before
+    anything is built, and a variant where homology(X, 1, v) refuses it.
     """
     if modulus < 2:
         raise MathError("modulus must be >= 2")
     if v.mode != "quotient" or v.diff_kind != "full":
         raise MathError("cocycles are defined for the quotient/full variants")
-    solver, coboundaries = _degree1_relations(X, v)
+    d1, solver = _reduction(X, 1, v)
+    coboundaries = [[col.get(p, 0) for col in d1._columns] for _, p, _, _ in d1._eliminate()]
     triples = chain_basis(X.order, 1)
     return [
         Cochain(modulus, {triples[i]: x for i, x in enumerate(vec) if x})
@@ -339,16 +326,17 @@ class HomologyClassChecker:
     """Decides equality of homology classes of degree-1 cycles.
 
     Two cycles are equal in the variant iff their difference lies in
-    im d_2 + R_1 (_degree1_relations, asked by LatticeSolver.member), so
-    only quotient variants are decided, and only where homology(X, 1, v)
-    is.  Each chain is tested for a cycle through the cached d_1.
+    im d_2 + R_1, or in d_2 with its unit columns (_reduction(X, 1, v),
+    asked by LatticeSolver.member), so only quotient variants are decided,
+    and only where homology(X, 1, v) is.  Each chain is tested for a cycle
+    through the cached d_1.
     """
 
     def __init__(self, X, v=HomologyVariant("D", "quotient", "full")):
         if v.mode != "quotient":
             raise MathError("homology classes are compared in quotient mode only")
         self.order = X.order
-        self.solver, _ = _degree1_relations(X, v)
+        _, self.solver = _reduction(X, 1, v)
         self.d1 = boundary_columns(X, 1, v.diff_kind)
 
     def _cycle_column(self, c, name):

@@ -5,13 +5,14 @@ elementary divisors of sparse matrices, lattice membership and kernels
 Sparse matrices, lists of columns each a dict {row: nonzero coefficient},
 are the working format: one routine, _hermite, computes every Hermite form
 on them, and one, _eliminate_units, eliminates the unit pivots of their
-columns for elementary_divisors and LatticeSolver, whose one elimination
-answers both membership and the mod-m kernel.  _with_transform carries a transform as
-rows below the columns, as _snf carries V.  Dense matrices, plain lists of
-row lists of Python ints, appear only at the adapters: column_hnf,
-lattice_basis, kernel_int, LatticeSolver(M, ncols), kernel_mod, cokernel,
-dense_matrix, and the Smith forms.  A dense matrix may have zero rows; pass
-ncols explicitly whenever the column count cannot be read off the data.
+columns for LatticeSolver, whose one elimination answers membership, the
+mod-m kernel and the elementary divisors.  _with_transform carries a
+transform as rows below the columns, as _snf carries V.  Dense matrices,
+plain lists of row lists of Python ints, appear only at the adapters:
+column_hnf, lattice_basis, kernel_int, LatticeSolver(M, ncols), kernel_mod,
+cokernel, dense_matrix, and the Smith forms.  A dense matrix may have zero
+rows; pass ncols explicitly whenever the column count cannot be read off
+the data.
 """
 
 from collections import namedtuple
@@ -253,11 +254,12 @@ class LatticeSolver:
     """Reusable exact solver for M*c = v against a fixed column lattice.
 
     One unit elimination of the columns of M serves membership (member,
-    contains) and the mod-m kernel of the transpose of M (kernel_mod).  The
-    Hermite basis is built on the first access to basis, coordinates or
-    solve, and the transform back to coefficients of the columns of M on
-    the first solve() that finds a solution.  LatticeSolver(M, ncols) takes
-    a dense matrix, from_columns sparse columns.
+    contains), the mod-m kernel of the transpose of M (kernel_mod) and the
+    elementary divisors of M (divisors).  The Hermite basis is built on the
+    first access to basis, coordinates or solve, and the transform back to
+    coefficients of the columns of M on the first solve() that finds a
+    solution.  LatticeSolver(M, ncols) takes a dense matrix, from_columns
+    sparse columns.
     """
 
     def __init__(self, M, ncols=None):
@@ -286,11 +288,20 @@ class LatticeSolver:
         return self._basis
 
     def _eliminate(self):
-        """The unit pivots of the columns, and the residual lattice they leave."""
+        """The unit pivots of the columns, records (j, p, u, col) as
+        _eliminate_units gives them, and the residual lattice they leave."""
         if self._units is None:
             self._units, left = _eliminate_units(self._columns, self.nrows)
             self._residual = LatticeSolver.from_columns(list(left.values()), self.nrows)
         return self._units
+
+    @property
+    def divisors(self):
+        """The nonzero invariant factors d1 | d2 | ... of the columns: a 1
+        per unit pivot, then those of the dense Smith form of the residual
+        block, which has no unit entry."""
+        ones, left = [1] * len(self._eliminate()), self._residual._columns
+        return ones + [d for d in snf_diagonal(_dense_block(left), len(left)) if d] if left else ones
 
     def member(self, residue):
         """Whether a sparse vector {row: coeff} lies in the lattice."""
@@ -407,9 +418,9 @@ def _eliminate_units(columns, nrows):
     row, to keep the fill low (Dumas, Heckenbach, Saunders and Welker,
     2003).  Row operations clear the rest of its column; the pivot row and
     column then leave the matrix.  Returns (pivots, cols): pivots lists
-    (j, u, prow) in elimination order, for the pivot u in column j, with
-    the rest of its row, prow {col: coeff}, at that step; cols maps each
-    column left with nonzero entries to them.
+    (j, p, u, col) in elimination order, for the pivot u in column j and
+    row p, with the rest of its column, col {row: coeff}, at that step;
+    cols maps each column left with nonzero entries to them.
     """
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows = [dict() for _ in range(nrows)]
@@ -462,28 +473,11 @@ def _eliminate_units(columns, nrows):
 
 
 def _dense_block(cols):
-    """The sparse columns left in cols, a dict, as a dense matrix over the
-    rows they touch."""
-    live = sorted({i for col in cols.values() for i in col})
+    """Sparse columns as a dense matrix over the rows they touch."""
+    live = sorted({i for col in cols for i in col})
     where = {i: r for r, i in enumerate(live)}
     R = [[0] * len(cols) for _ in live]
-    for c, col in enumerate(cols.values()):
+    for c, col in enumerate(cols):
         for i, a in col.items():
             R[where[i]][c] = a
     return R
-
-
-def elementary_divisors(columns, nrows):
-    """(divisors, pivots): the nonzero invariant factors d1 | d2 | ... of a
-    sparse integer matrix with nrows rows, given as a list of columns
-    {row: coeff}, and the set of the columns of its unit pivots.
-
-    Entries +-1 are eliminated first (_eliminate_units), each contributing
-    the factor 1.  Only the block left without unit entries goes to the
-    dense Smith form.
-    """
-    pivots, cols = _eliminate_units(columns, nrows)
-    divisors = [1] * len(pivots)
-    if cols:
-        divisors += [d for d in snf_diagonal(_dense_block(cols), len(cols)) if d]
-    return divisors, {pivot[0] for pivot in pivots}

@@ -97,6 +97,9 @@ def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
     'consistent with invariance' or 'distinguished'.
     """
     check_comparable(d1, d2, X)
+    cocycles = tuple(cocycles)
+    for phi in cocycles:
+        _check_cocycle(X, phi)
     if variant is None:
         variant = HomologyVariant("D", "quotient", "full")
     rows = []
@@ -112,7 +115,6 @@ def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
     if correspondence is not None:
         # join first: an oversized join is refused before any chain is built
         matched = matched_colorings(d1, d2, cols1, cols2, correspondence)
-    cocycles = tuple(cocycles)
     chains1 = chains2 = {}
     if correspondence is not None or cocycles:
         # the class checks below test the chains of the matched colorings
@@ -127,8 +129,6 @@ def invariant_report(d1, d2, X, variant=None, correspondence=None, cocycles=()):
         rows.append(("classes.checked", str(len(equal))))
         rows.append(("classes.equal", "yes" if classes_equal else "no"))
 
-    for phi in cocycles:
-        _check_cocycle(X, phi)
     sums_equal = True
     sums = zip(
         _state_sums(chains1.values(), cocycles), _state_sums(chains2.values(), cocycles)

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from ktq import classify, parse_algebra, parse_correspondence, parse_diagram
+from ktq import homology as _homology
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -62,3 +63,16 @@ def order1():
 def samples(z3linear, z5affine, z2sum, z2sum1, z3sum, order1):
     """All shipped sample algebras (not all are KTQs)."""
     return [order1, z2sum, z2sum1, z3sum, z3linear, z5affine]
+
+
+@pytest.fixture
+def cleared_caches():
+    """Clear the cached reduction and differentials before and after the
+    test, so that it counts its own builds and cache hits and leaves none
+    behind, even when it fails."""
+    caches = (_homology._reduction, _homology.boundary_columns)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -364,18 +364,17 @@ def test_compare_checks_its_diagrams_before_it_computes_cocycles(table, command,
     assert message in capsys.readouterr().err
 
 
-def test_a_modulus_below_2_is_refused_before_the_degree1_lattice(tmp_path, monkeypatch, capsys):
+def test_a_modulus_below_2_is_refused_before_the_degree1_lattice(tmp_path, monkeypatch, capsys,
+                                                                  cleared_caches):
     homology = ktq.homology
-    homology.boundary_columns.cache_clear()
-    homology._degree1_relations.cache_clear()
     calls = []
-    real = homology._degree1_relations
+    real = homology._reduction
 
-    def recorded(X, v):
-        calls.append(X.order)
-        return real(X, v)
+    def recorded(X, n, v):
+        calls.append((X.order, n))
+        return real(X, n, v)
 
-    monkeypatch.setattr(homology, "_degree1_relations", recorded)
+    monkeypatch.setattr(homology, "_reduction", recorded)
     (tmp_path / "z13.ktq").write_text(serialize_algebra(affine_table(13, 1, 12, 1)))
     for modulus in ("1", "0"):
         argv = ["cocycles", str(tmp_path / "z13.ktq"), "--mod", modulus, "--relators", "D"]
@@ -384,19 +383,17 @@ def test_a_modulus_below_2_is_refused_before_the_degree1_lattice(tmp_path, monke
     assert calls == [] and homology.boundary_columns.cache_info().currsize == 0
     # the recorder is the one two_cocycles calls
     assert run("cocycles", fixture_path("z3linear.ktq"), "--mod", "3", "--relators", "D")[0] == 0
-    assert calls == [3]
+    assert calls == [(3, 1)]
 
 
-def test_the_slowest_admitted_cocycles_request_stays_fast(tmp_path):
+def test_the_slowest_admitted_cocycles_request_stays_fast(tmp_path, cleared_caches):
     # x + y - z mod 13 under D: its degree-1 lattice, pruned at d_1's unit
     # pivots, is eliminated in about a second; unpruned it took 15 s
-    ktq.homology._degree1_relations.cache_clear()
     (tmp_path / "z13.ktq").write_text(serialize_algebra(affine_table(13, 1, 1, 12)))
     start = time.perf_counter()
     code, out = run("cocycles", str(tmp_path / "z13.ktq"), "--mod", "2", "--relators", "D")
     assert time.perf_counter() - start < 6.0
     assert (code, out.splitlines()[0]) == (0, "# generators 156")
-    ktq.homology._degree1_relations.cache_clear()
 
 
 # a lone crossing, and one whose colorings a correspondence matches only in

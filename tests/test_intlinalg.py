@@ -11,7 +11,6 @@ from ktq.intlinalg import (
     LatticeSolver,
     cokernel,
     column_hnf,
-    elementary_divisors,
     kernel_int,
     kernel_mod,
     lattice_basis,
@@ -268,6 +267,14 @@ def test_sparse_hermite_form_matches_the_dense_oracle(query):
     assert kernel_hnf(K, cols) == kernel_hnf(K0, cols)
 
 
+def divisors(columns, nrows):
+    return LatticeSolver.from_columns(columns, nrows).divisors
+
+
+def unit_pivot_columns(columns, nrows):
+    return {pivot[0] for pivot in LatticeSolver.from_columns(columns, nrows)._eliminate()}
+
+
 def test_elementary_divisors_match_dense_snf():
     rng = random.Random(11)
     for _ in range(200):
@@ -278,21 +285,25 @@ def test_elementary_divisors_match_dense_snf():
             for _ in range(rows)
         ]
         expect = [d for d in snf_diagonal(M, cols) if d]
-        assert elementary_divisors(sparse_columns(M, cols), rows)[0] == expect, M
+        assert divisors(sparse_columns(M, cols), rows) == expect, M
 
 
 def test_elementary_divisors_of_non_unit_blocks():
     # no unit entry at all: everything goes to the dense Smith form
-    assert elementary_divisors(sparse_columns([[2, 4], [6, 8]], 2), 2) == ([2, 4], set())
-    assert elementary_divisors([{0: 2}, {}], 3) == ([2], set())
-    assert elementary_divisors([], 0) == ([], set())
+    for cols, nrows, expect in [
+        (sparse_columns([[2, 4], [6, 8]], 2), 2, [2, 4]), ([{0: 2}, {}], 3, [2]), ([], 0, []),
+    ]:
+        assert divisors(cols, nrows) == expect
+        assert unit_pivot_columns(cols, nrows) == set()
 
 
 def test_elementary_divisors_name_the_unit_pivot_columns():
     # [[2, 1, 0], [4, 0, 6]]: the unit in column 1 leaves the row [4, 6]
-    assert elementary_divisors(sparse_columns([[2, 1, 0], [4, 0, 6]], 3), 2) == ([1, 2], {1})
+    M = sparse_columns([[2, 1, 0], [4, 0, 6]], 3)
+    assert (divisors(M, 2), unit_pivot_columns(M, 2)) == ([1, 2], {1})
     # [[1, 1], [1, -1]]: the first unit leaves -2
-    assert elementary_divisors(sparse_columns([[1, 1], [1, -1]], 2), 2) == ([1, 2], {0})
+    M = sparse_columns([[1, 1], [1, -1]], 2)
+    assert (divisors(M, 2), unit_pivot_columns(M, 2)) == ([1, 2], {0})
 
 
 def test_kernel_int():

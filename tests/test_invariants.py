@@ -82,6 +82,19 @@ def test_invariant_report_distinguishes(z3linear):
     assert rows["verdict"] == "distinguished"
 
 
+def test_invariant_report_refuses_a_foreign_cocycle_before_any_search(monkeypatch, z3linear):
+    def refused_search(d, X):
+        raise AssertionError("colorings searched")
+
+    monkeypatch.setattr(ktq.invariants, "colorings", refused_search)
+    phi = Cochain(3, {(0, 7, 1): 1})
+    with pytest.raises(MathError, match="outside the algebra"):
+        invariant_report(
+            load_diagram("kink.dg"), load_diagram("unknot0.dg"), z3linear,
+            correspondence=load_correspondence("kink_unknot.corr"), cocycles=[phi],
+        )
+
+
 def test_invariant_report_rejects_flat_vs_classical(z3linear):
     with pytest.raises(MathError):
         invariant_report(

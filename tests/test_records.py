@@ -6,7 +6,7 @@ import pytest
 from ktq.algebra import A3Report, ValidationReport
 from ktq.diagram import Crossing, Diagram
 from ktq.errors import FormatError
-from ktq.homology import NAMED_VARIANTS, HomologyVariant, _degree1_relations
+from ktq.homology import NAMED_VARIANTS, HomologyVariant, _reduction
 from ktq.intlinalg import AbelianGroup
 from ktq.invariants import GroupRingElement
 
@@ -36,12 +36,11 @@ def test_records_built_separately_are_equal_and_hash_equal():
     assert HomologyVariant("D") != NAMED_VARIANTS["plain"]
 
 
-def test_equal_records_share_the_relation_lattice_cache():
-    _degree1_relations.cache_clear()
-    first = _degree1_relations(load_algebra("z3linear.ktq"), HomologyVariant("D"))
-    again = _degree1_relations(load_algebra("z3linear.ktq"), NAMED_VARIANTS["N"])
+def test_equal_records_share_the_relation_lattice_cache(cleared_caches):
+    first = _reduction(load_algebra("z3linear.ktq"), 1, HomologyVariant("D"))
+    again = _reduction(load_algebra("z3linear.ktq"), 1, NAMED_VARIANTS["N"])
     assert again is first
-    assert _degree1_relations.cache_info().hits == 1
+    assert _reduction.cache_info().hits == 1
 
 
 def test_records_are_immutable():

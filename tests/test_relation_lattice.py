@@ -19,7 +19,7 @@ from ktq.homology import (
     NAMED_VARIANTS,
     HomologyClassChecker,
     HomologyVariant,
-    _degree1_relations,
+    _reduction,
     boundary_columns,
     boundary_matrix,
     chain_basis,
@@ -28,7 +28,7 @@ from ktq.homology import (
     two_cocycles,
 )
 from ktq.cli import cli_main
-from ktq.intlinalg import LatticeSolver, dense_matrix, elementary_divisors, lattice_basis
+from ktq.intlinalg import LatticeSolver, dense_matrix, lattice_basis
 
 import hnf_oracle
 from conftest import fixture_path, load_algebra
@@ -53,8 +53,9 @@ def quotient_variants(X):
 
 def unit_pivots(X, kind):
     """The columns of d_1's unit pivots, the triples the lattice is pruned
-    at, as elementary_divisors finds them."""
-    return sorted(elementary_divisors(boundary_columns(X, 1, kind), X.order ** 2)[1])
+    at, as the unit elimination of d_1 finds them."""
+    d1 = LatticeSolver.from_columns(boundary_columns(X, 1, kind), X.order ** 2)
+    return sorted(pivot[0] for pivot in d1._eliminate())
 
 
 def sampled_cycles(X, kind, M, rng):
@@ -92,7 +93,7 @@ def test_relations_span_the_dense_assembly(name):
     rng = random.Random(name)
     seen = set()
     for v in quotient_variants(X):
-        solver, _ = _degree1_relations(X, v)
+        _, solver = _reduction(X, 1, v)
         M = dense_assembly(X, v)
         pivots = unit_pivots(X, v.diff_kind)
         pruned = [row + [int(i == j) for j in pivots] for i, row in enumerate(M)]
@@ -135,7 +136,7 @@ def test_refuses_what_homology_refuses(relators):
     assert seen == {True, False}
 
 
-def test_compare_builds_the_relation_lattice_once(monkeypatch):
+def test_compare_builds_the_relation_lattice_once(monkeypatch, cleared_caches):
     # the class checks and the mod-m cocycles of one report share one build
     import ktq.homology as module
     built = []
@@ -146,19 +147,17 @@ def test_compare_builds_the_relation_lattice_once(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(module, "_RelatorLattices", Counted)
-    _degree1_relations.cache_clear()
     code = cli_main(
         ["compare", fixture_path("z3linear.ktq"), fixture_path("fr3_after.dg"),
          fixture_path("fr3_before.dg"), "--variant", "NI",
          "--correspondence", fixture_path("fr3.corr"), "--mod", "3"],
         io.StringIO(),
     )
-    _degree1_relations.cache_clear()
     assert code == 0
     assert len(built) == 1
 
 
-def test_compare_eliminates_the_relation_lattice_once(monkeypatch):
+def test_compare_eliminates_the_relation_lattice_once(monkeypatch, cleared_caches):
     # the class checks and the mod-m cocycles read one unit elimination of
     # d_1, for its unit pivots, and one of the pruned lattice, on the
     # sparse columns: no dense matrix is converted back to columns
@@ -175,7 +174,6 @@ def test_compare_eliminates_the_relation_lattice_once(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "_eliminate_units", counted)
     monkeypatch.setattr(intlinalg, "_columns", refused_conversion)
-    _degree1_relations.cache_clear()
     for alg, order, after, before, corr, variant, m in [
         ("z5affine.ktq", 5, "r3_after.dg", "r3_before.dg", "r3.corr", "N", "5"),
         ("z3linear.ktq", 3, "fr3_after.dg", "fr3_before.dg", "fr3.corr", "NID", "3"),
@@ -189,9 +187,38 @@ def test_compare_eliminates_the_relation_lattice_once(monkeypatch):
         assert code == 0
         # d_1, a column per triple, then the lattice with its unit columns
         got = list(columns_eliminated)
-        solver, _ = _degree1_relations(load_algebra(alg), NAMED_VARIANTS[variant])
+        _, solver = _reduction(load_algebra(alg), 1, NAMED_VARIANTS[variant])
         assert got == [order ** 3, len(solver._columns)]
-    _degree1_relations.cache_clear()
+
+
+@pytest.mark.parametrize("alg, variant, m", [("z5affine", "N", 5), ("z3linear", "NID", 3)])
+def test_homology_class_checks_and_cocycles_share_one_reduction(alg, variant, m, monkeypatch,
+                                                                 cleared_caches):
+    # H_1, the class checker and the cocycles read one cached reduction: d_1
+    # is eliminated once, d_2 with its unit columns once, and d_1 d_2 = 0 is
+    # checked once
+    intlinalg = importlib.import_module("ktq.intlinalg")
+    module = importlib.import_module("ktq.homology")
+    eliminate, check = intlinalg._eliminate_units, module._check_square
+    columns_eliminated, checked = [], []
+
+    def counted(columns, nrows):
+        columns_eliminated.append(len(columns))
+        return eliminate(columns, nrows)
+
+    def counted_check(*args):
+        checked.append(args[2])
+        return check(*args)
+
+    monkeypatch.setattr(intlinalg, "_eliminate_units", counted)
+    monkeypatch.setattr(module, "_check_square", counted_check)
+    X, v = load_algebra(alg + ".ktq"), NAMED_VARIANTS[variant]
+    homology(X, 1, v)
+    HomologyClassChecker(X, v)
+    assert two_cocycles(X, m, v)
+    _, solver = _reduction(X, 1, v)
+    assert columns_eliminated == [X.order ** 3, len(solver._columns)]
+    assert checked == [1]
 
 
 def sampled_vectors(cols, nrows, rng):
@@ -227,7 +254,7 @@ def test_membership_by_elimination_matches_the_hermite_form_and_the_oracle(name)
             v = HomologyVariant(relators, "quotient", kind)
             if refused(lambda: homology(X, 1, v)):
                 continue
-            cols = list(_degree1_relations(X, v)[0]._columns)
+            cols = list(_reduction(X, 1, v)[1]._columns)
             solver = LatticeSolver.from_columns(cols, nrows)
             hermite = LatticeSolver.from_columns(cols, nrows)
             oracle = hnf_oracle.DenseLatticeSolver(dense_matrix(cols, nrows), len(cols))

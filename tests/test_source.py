@@ -73,7 +73,7 @@ def test_one_function_splits_input_into_lines_and_cuts_comments():
 
 
 def test_one_function_tests_for_unit_pivots():
-    # elementary_divisors and LatticeSolver share one unit elimination,
+    # every unit pivot is found by one unit elimination,
     # intlinalg._eliminate_units
     def unit(node):
         return isinstance(node, ast.Constant) and node.value == 1 or (
@@ -99,20 +99,30 @@ def test_one_function_tests_for_unit_pivots():
     assert _functions_where(unit_test) == ["intlinalg._eliminate_units"]
 
 
-def test_unit_elimination_has_two_callers():
-    # a lattice is eliminated by its LatticeSolver, which answers both
-    # membership and the mod-m kernel, or by elementary_divisors
+def test_unit_elimination_has_one_caller():
+    # a lattice is eliminated by its LatticeSolver alone, which answers
+    # membership, the mod-m kernel and the elementary divisors
     def calls(node):
         return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_eliminate_units"
 
-    assert sorted(_functions_where(calls)) == [
-        "intlinalg.LatticeSolver._eliminate", "intlinalg.elementary_divisors"
-    ]
+    assert _functions_where(calls) == ["intlinalg.LatticeSolver._eliminate"]
+
+
+def test_homology_prunes_by_unit_columns_alone():
+    # the rows of d_{n+1} at d_n's unit pivots go by the unit columns that
+    # _reduction appends; no comprehension in homology filters entries out
+    # of a differential by hand
+    def filters(node):
+        return isinstance(node, ast.comprehension) and any(
+            isinstance(c, ast.Compare) and isinstance(c.ops[0], ast.NotIn) for c in node.ifs
+        )
+
+    assert [f for f in _functions_where(filters) if f.startswith("homology.")] == []
 
 
 def test_every_unit_elimination_works_on_columns():
-    # LatticeSolver eliminates its own columns, as elementary_divisors does,
-    # so intlinalg has no transpose
+    # LatticeSolver eliminates its own columns, so intlinalg has no
+    # transpose
     with open(os.path.join(SRC, "intlinalg.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     assert "_transpose" not in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
@@ -216,7 +226,8 @@ def test_one_function_walks_the_axiom_programs():
 
 def test_one_function_bounds_homology_work():
     # homology() and the degree-1 relation lattice of cocycles and compare
-    # are refused by one check of MAX_WORK, before anything is built
+    # are refused by one check of MAX_WORK in the one reduction they share,
+    # before anything is built
     def reads_bound(node):
         return (
             isinstance(node, ast.Name) and node.id == "MAX_WORK" and isinstance(node.ctx, ast.Load)
@@ -226,9 +237,7 @@ def test_one_function_bounds_homology_work():
         return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_request"
 
     assert set(_functions_where(reads_bound)) == {"homology._check_request"}
-    assert sorted(_functions_where(calls_check)) == [
-        "homology._degree1_relations", "homology.homology"
-    ]
+    assert _functions_where(calls_check) == ["homology._reduction"]
 
 
 def test_one_function_bounds_enumeration():
